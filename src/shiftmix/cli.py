@@ -62,6 +62,9 @@ _FIELDS: dict[str, tuple[type, object]] = {
 }
 
 
+_BOOLS = {w: True for w in ("1", "true", "yes", "on")} | {w: False for w in ("0", "false", "no", "off")}
+
+
 class ManifestError(ValueError):
     pass
 
@@ -86,11 +89,8 @@ def parse_manifest(path: str) -> dict:
             raise ManifestError(f"{path}:{lineno}: unknown field {key!r}")
         typ, _ = _FIELDS[key]
         try:
-            if typ is bool:
-                values[key] = val.lower() in ("1", "true", "yes", "on")
-            else:
-                values[key] = typ(val)
-        except ValueError:
+            values[key] = _BOOLS[val.lower()] if typ is bool else typ(val)
+        except (KeyError, ValueError):
             raise ManifestError(
                 f"{path}:{lineno}: field {key!r} expects {typ.__name__}, got {val!r}"
             ) from None
@@ -112,15 +112,18 @@ def canonical_manifest(experiment: str, params: dict) -> str:
 
 
 def _parse_grid(text: str) -> list[int]:
-    """Either a comma list or 'lo:hi' doubling from lo to hi."""
+    """Either a comma list or 'lo:hi' doubling from lo to hi; all positive."""
     if ":" in text:
         lo, hi = (int(x) for x in text.split(":")[:2])
-        out, v = [], lo
-        while v <= hi:
-            out.append(v)
-            v *= 2
-        return out
-    return [int(x) for x in text.split(",")]
+        out = []
+        while 0 < lo <= hi:
+            out.append(lo)
+            lo *= 2
+    else:
+        out = [int(x) for x in text.split(",")]
+    if not out or min(out) <= 0:
+        raise ValueError(f"grid {text!r} needs positive points and lo <= hi")
+    return out
 
 
 def _build_stack(params):

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .basis import TriangularBasis
-from .sampling import SamplerState, SymbolWindow, sample_symbol_matrix, window_vector
+from .observables import Observable, evaluate_windows
+from .sampling import SamplerState, sample_symbol_matrix
 from .shift import ShiftModel
 from .weights import SymbolWeights
 
@@ -160,7 +160,7 @@ def linear_fourier_table(
 
 
 def mc_fourier_coefficient(
-    observable: Callable[[np.ndarray], float] | "object",
+    observable: Observable,
     model: ShiftModel,
     w: SymbolWeights,
     basis: TriangularBasis,
@@ -189,18 +189,7 @@ def mc_fourier_coefficient(
         row = np.concatenate([[0.0], basis.value_row(l)])  # symbol-indexed
         basis_prod *= row[mat[:, depth + j]]
 
-    is_linear = getattr(observable, "kind", None) == "linear"
-    if is_linear:
-        k = observable.coefs / model.W[: len(observable.coefs)]
-        d = len(k) - 1
-        amp = model.symbol_alpha[mat[:, depth - d :]]
-        f_vals = amp @ k[::-1] - observable.mean_shift
-    else:
-        evaluate = observable if callable(observable) else observable.evaluate_coords
-        f_vals = np.empty(samples)
-        for r in range(samples):
-            v = window_vector(model, SymbolWindow(-depth, 0, mat[r]))
-            f_vals[r] = evaluate(v.coords())
+    f_vals = evaluate_windows(observable, model, model.amplitudes(mat), [depth])[:, 0]
     vals = basis_prod * f_vals
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(samples))

@@ -2,7 +2,9 @@
 
 Dynamics never iterate the operator on vectors: one window of symbols is
 sampled per replica and the operator acts as an index shift inside it, so a
-whole Birkhoff sum costs one pass over the window.  Exact covariances come
+whole Birkhoff sum costs one pass over the window, for every kind of
+observable: the values of all its steps are read off the window's
+amplitude row at once.  Exact covariances come
 from the coefficient convolution of the factorized linear tables; Monte
 Carlo estimates must agree with them within standard errors, and the CLT
 experiments compare standardized Birkhoff sums against a moment-matched
@@ -19,8 +21,8 @@ import numpy as np
 
 from .basis import TriangularBasis, build_basis
 from .fourier import FourierTable, exact_covariance, linear_fourier_table
-from .observables import Observable, evaluate, exact_mean
-from .sampling import SamplerState, SymbolWindow, sample_symbol_matrix, window_vector
+from .observables import Observable, evaluate_windows, exact_mean
+from .sampling import SamplerState, sample_symbol_matrix
 from .shift import ShiftModel
 from .weights import SymbolWeights
 
@@ -84,31 +86,6 @@ class DecayReport:
             yield f"{lag},{mc},{se},{ex}"
 
 
-def _linear_kernel(obs: Observable, model: ShiftModel) -> np.ndarray:
-    c = obs.coefs
-    return c / model.W[: len(c)]
-
-
-def _lag_values(
-    obs: Observable, model: ShiftModel, symmat: np.ndarray, idx0: int, lag: int
-) -> np.ndarray:
-    """Observable values on the lag-shifted realizations of each window row."""
-    if obs.kind == "linear":
-        k = _linear_kernel(obs, model)
-        d = len(k) - 1
-        cols = symmat[:, idx0 - lag - d : idx0 - lag + 1]
-        amp = model.symbol_alpha[cols]
-        return amp @ k[::-1] - obs.mean_shift
-    rows = symmat.shape[0]
-    out = np.empty(rows)
-    # lagging shifts the window, never the realized vector
-    depth = min(idx0 - lag, model.depth)
-    for r in range(rows):
-        v = window_vector(model, SymbolWindow(-depth, 0, symmat[r, idx0 - lag - depth : idx0 - lag + 1]))
-        out[r] = evaluate(obs, v)
-    return out
-
-
 def empirical_covariance(
     model: ShiftModel,
     w: SymbolWeights,
@@ -140,15 +117,18 @@ def empirical_covariance(
     width = depth + max_lag + 1
     idx0 = width - 1
 
-    chunk = 4096
+    chunk, sub = 4096, 1024
     g_all = np.empty(n_samples)
-    f_all = [np.empty(n_samples) for _ in lags]
+    f_all = np.empty((len(lags), n_samples))
 
     def block(start: int, stop: int) -> None:
         mat = sample_symbol_matrix(w, stop - start, width, state.substream(start // chunk))
-        g_all[start:stop] = _lag_values(obs_g, model, mat, idx0, 0)
-        for i, lag in enumerate(lags):
-            f_all[i][start:stop] = _lag_values(obs_f, model, mat, idx0, int(lag))
+        # amplitudes are gathered once per sub-block and read at every lag
+        for s in range(0, stop - start, sub):
+            amp = model.amplitudes(mat[s : s + sub])
+            rows = slice(start + s, start + s + len(amp))
+            g_all[rows] = evaluate_windows(obs_g, model, amp, [idx0])[:, 0]
+            f_all[:, rows] = evaluate_windows(obs_f, model, amp, idx0 - lags).T
 
     _run_blocks(n_samples, chunk, block, workers)
 
@@ -163,12 +143,7 @@ def empirical_covariance(
 
     exact = None
     if obs_f.kind == "linear" and obs_g.kind == "linear":
-        if basis is None:
-            basis = build_basis(w)
-        tf = linear_fourier_table(model, basis, obs_f.coefs)
-        tg = linear_fourier_table(model, basis, obs_g.coefs)
-        exact = np.array([exact_covariance(tf, tg, int(p)) for p in lags])
-
+        exact = exact_decay_curve(model, w, obs_f, obs_g, lags, basis).exact
     return DecayReport(
         lags=lags, mc=mc, se=se, exact=exact, alpha=model.alpha, n_samples=n_samples
     )
@@ -309,7 +284,8 @@ def clt_experiment(
     The observable must be centered (exact mean zero).  The decay exponent
     must exceed 1, the proven regime, unless the run is explicitly flagged
     exploratory.  Each replica draws a fresh stream; for linear observables
-    the whole Birkhoff sum is one dot product against a precomputed kernel.
+    the whole Birkhoff sum is one dot product against a precomputed kernel,
+    for the others one evaluation of every step's window at once.
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas for a usable distribution test")
@@ -323,7 +299,7 @@ def clt_experiment(
     width = n_steps + depth
     values = np.empty(replicas)
     if obs.kind == "linear":
-        k = _linear_kernel(obs, model)
+        k = obs.coefs / model.W[: len(obs.coefs)]
         kern = np.convolve(k, np.ones(n_steps))  # kern[i] = sum of k over the lag band
         kern_rev = kern[::-1]
         shift_total = n_steps * obs.mean_shift
@@ -331,38 +307,39 @@ def clt_experiment(
         def block(start: int, stop: int) -> None:
             for r in range(start, stop):
                 syms = sample_symbol_matrix(w, 1, width, state.substream(r))[0]
-                amp = model.symbol_alpha[syms]
+                amp = model.amplitudes(syms)
                 values[r] = (float(amp @ kern_rev) - shift_total) / math.sqrt(n_steps)
 
         _run_blocks(replicas, 256, block, workers)
     else:
+        # window index 0 of step p sits at column width - 1 - p
+        ends = np.arange(width - 1, width - 1 - n_steps, -1)
 
         def block(start: int, stop: int) -> None:
             for r in range(start, stop):
-                syms = sample_symbol_matrix(w, 1, width, state.substream(r))[0]
-                total = 0.0
-                for p in range(n_steps):
-                    hi = width - 1 - p
-                    lo = max(hi - model.depth, 0)
-                    win = SymbolWindow(-(hi - lo), 0, syms[lo : hi + 1])
-                    total += evaluate(obs, window_vector(model, win))
-                values[r] = total / math.sqrt(n_steps)
+                syms = sample_symbol_matrix(w, 1, width, state.substream(r))
+                f = evaluate_windows(obs, model, model.amplitudes(syms), ends)[0]
+                # the running sum adds in step order from +0.0, as a loop would
+                values[r] = (float(np.cumsum(f)[-1]) + 0.0) / math.sqrt(n_steps)
 
         _run_blocks(replicas, 64, block, workers)
 
     var_hat = float(values.var(ddof=1))
+    common = dict(
+        n_steps=n_steps,
+        replicas=replicas,
+        samples=values,
+        ks_limit=1.5 * 1.63 / math.sqrt(replicas),
+        skew_limit=4.0 * math.sqrt(6.0 / replicas),
+        kurtosis_limit=4.0 * math.sqrt(24.0 / replicas),
+        sigma2_hat=var_hat,
+    )
     if var_hat <= 1e-300:
         return CltReport(
-            n_steps=n_steps,
-            replicas=replicas,
-            samples=values,
+            **common,
             ks_distance=math.nan,
-            ks_limit=1.5 * 1.63 / math.sqrt(replicas),
             skewness=math.nan,
-            skew_limit=4.0 * math.sqrt(6.0 / replicas),
             excess_kurtosis=math.nan,
-            kurtosis_limit=4.0 * math.sqrt(24.0 / replicas),
-            sigma2_hat=var_hat,
             sigma2_series=None,
             degenerate=True,
         )
@@ -387,16 +364,10 @@ def clt_experiment(
         sigma2_series = float(total)
 
     return CltReport(
-        n_steps=n_steps,
-        replicas=replicas,
-        samples=values,
+        **common,
         ks_distance=ks,
-        ks_limit=1.5 * 1.63 / math.sqrt(replicas),
         skewness=skew,
-        skew_limit=4.0 * math.sqrt(6.0 / replicas),
         excess_kurtosis=kurt,
-        kurtosis_limit=4.0 * math.sqrt(24.0 / replicas),
-        sigma2_hat=var_hat,
         sigma2_series=sigma2_series,
         degenerate=False,
     )

@@ -1,6 +1,8 @@
 """Observables for experiments: linear functionals, polynomials, norm powers.
 
-Every observable evaluates on realized vectors.  Polynomial observables
+Every observable evaluates on realized vectors, one at a time with
+:func:`evaluate` or on whole matrices of window amplitudes with
+:func:`evaluate_windows`, which gives the same numbers.  Polynomial observables
 also expose exact means under the invariant measure (coordinates are
 independent under the pullback, so means reduce to moments of the seed
 amplitude distribution), and upper bounds for the derivative-growth norm
@@ -16,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .shift import LpVector, ShiftModel
+from .shift import LpVector, ShiftModel, row_norms
 from .weights import GrowthChain, SymbolWeights
 
 __all__ = [
@@ -26,6 +28,7 @@ __all__ = [
     "norm_power",
     "parse_observable",
     "evaluate",
+    "evaluate_windows",
     "exact_mean",
     "with_exact_mean_subtracted",
     "GrowthNormCertificate",
@@ -59,20 +62,6 @@ class Observable:
         if self.kind == "monomials":
             return max((max(ix) for _, ix in self.terms if ix), default=0)
         return 0
-
-    def evaluate_coords(self, y: np.ndarray) -> float:
-        if self.kind == "linear":
-            n = min(len(y), len(self.coefs))
-            return float(np.dot(self.coefs[:n], y[:n])) - self.mean_shift
-        if self.kind == "monomials":
-            total = 0.0
-            for c, ix in self.terms:
-                prod = c
-                for i in ix:
-                    prod *= y[i] if i < len(y) else 0.0
-                total += prod
-            return total - self.mean_shift
-        raise ValueError("norm powers need the full vector, not bare coordinates")
 
 
 def linear_functional(coefs: Sequence[float], descriptor: str = "") -> Observable:
@@ -124,7 +113,52 @@ def parse_observable(text: str) -> Observable:
 def evaluate(obs: Observable, v: LpVector) -> float:
     if obs.kind == "norm_power":
         return v.norm() ** obs.power - obs.mean_shift
-    return obs.evaluate_coords(v.coords())
+    y = v.coords()
+    if obs.kind == "linear":
+        n = min(len(y), len(obs.coefs))
+        return float(np.dot(obs.coefs[:n], y[:n])) - obs.mean_shift
+    total = 0.0
+    for c, ix in obs.terms:
+        prod = c
+        for i in ix:
+            prod *= y[i] if i < len(y) else 0.0
+        total += prod
+    return total - obs.mean_shift
+
+
+def evaluate_windows(
+    obs: Observable, model: ShiftModel, amp: np.ndarray, ends: Sequence[int]
+) -> np.ndarray:
+    """Values ``(rows, len(ends))`` on the windows of amplitude rows ``amp``
+    (``model.amplitudes`` of symbols) whose index 0 sits at columns ``ends``.
+
+    Coordinate m of a window reads column ``end - m`` over ``W_m``, and 0 once
+    ``m > min(end, depth)``.  Monomials and norm powers give the bits of
+    :func:`evaluate` on ``window_vector``; linear functionals contract with
+    the kernel ``c_m / W_m``, one sequential sum per value."""
+    ends = np.asarray(ends, dtype=np.int64)
+    out = np.empty((amp.shape[0], len(ends)))
+    if obs.kind == "monomials":
+        reach = np.minimum(ends, model.depth)
+        total = np.zeros_like(out)
+        for c, ix in obs.terms:
+            prod = np.full_like(out, c)
+            for i in ix:  # columns out of reach are read clipped and masked
+                y = amp[:, np.maximum(ends - i, 0)] / model.W[min(i, model.depth)]
+                prod *= np.where(i <= reach, y, 0.0)
+            total += prod
+        return total - obs.mean_shift
+    for j, end in enumerate(ends.tolist()):
+        n = min(end, model.depth) + 1  # window coordinates 0 .. n - 1
+        if obs.kind == "linear":
+            n = min(n, len(obs.coefs))
+            k = obs.coefs[:n] / model.W[:n]
+            out[:, j] = amp[:, end - n + 1 : end + 1] @ k[::-1] - obs.mean_shift
+        else:
+            norms = row_norms(model, amp[:, end - n + 1 : end + 1][:, ::-1])
+            out[:, j] = [x**obs.power for x in norms.tolist()]
+            out[:, j] -= obs.mean_shift
+    return out
 
 
 def _amplitude_moments(model: ShiftModel, w: SymbolWeights, orders: set[int]) -> dict[int, float]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .shift import LpVector, ShiftModel, apply_shift
+from .shift import LpVector, ShiftModel, apply_shift, row_norms
 from .weights import SymbolWeights, build_block_schedule
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_PROBE_BLOCK = 64  # support-probe samples whose distances are taken together
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -77,11 +78,6 @@ class SymbolWindow:
         if len(self.symbols) != self.hi - self.lo + 1:
             raise ValueError("symbol count does not match window length")
 
-    def symbol(self, k: int) -> int:
-        if not self.lo <= k <= self.hi:
-            raise ValueError(f"index {k} outside window [{self.lo}, {self.hi}]")
-        return int(self.symbols[k - self.lo])
-
     def shifted(self, steps: int = 1) -> "SymbolWindow":
         """The forward-shift image: index k now reads the old k - steps."""
         return SymbolWindow(self.lo + steps, self.hi + steps, self.symbols)
@@ -95,13 +91,20 @@ def _thresholds(w: SymbolWeights) -> np.ndarray:
     return np.cumsum(w.p)[:-1]
 
 
+def _symbols(thr: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(thr, u, side="right") + 1``, searching only the uniforms
+    at or above ``thr[0]``: most give the zero seed, symbol 1."""
+    out = np.ones(u.shape, dtype=np.int64)
+    rest = u >= thr[0]
+    out[rest] = np.searchsorted(thr, u[rest], side="right") + 1
+    return out
+
+
 def sample_window(w: SymbolWeights, lo: int, hi: int, state: SamplerState) -> SymbolWindow:
     """Draw one i.i.d. window; the same state always yields the same window."""
     if hi < lo:
         raise ValueError("need lo <= hi")
-    u = state.rng().random(hi - lo + 1)
-    symbols = np.searchsorted(_thresholds(w), u, side="right") + 1
-    return SymbolWindow(lo, hi, symbols.astype(np.int64))
+    return SymbolWindow(lo, hi, _symbols(_thresholds(w), state.rng().random(hi - lo + 1)))
 
 
 def sample_symbol_matrix(
@@ -117,8 +120,7 @@ def sample_symbol_matrix(
     for start in range(0, rows, chunk):
         stop = min(start + chunk, rows)
         rng = state.substream(start // chunk).rng()
-        u = rng.random((stop - start, cols))
-        out[start:stop] = np.searchsorted(thr, u, side="right") + 1
+        out[start:stop] = _symbols(thr, rng.random((stop - start, cols)))
     return out
 
 
@@ -166,13 +168,10 @@ def conjugacy_residual(model: ShiftModel, win: SymbolWindow) -> float:
         raise ValueError("window must cover index 1")
     v1 = apply_shift(model, window_vector(model, win), 1)
     v2 = window_vector(model, win.shifted())
-    n = max(len(v1.scaled), len(v2.scaled))
-    a = np.zeros(n)
-    b = np.zeros(n)
-    a[: len(v1.scaled)] = v1.scaled
-    b[: len(v2.scaled)] = v2.scaled
-    diff = LpVector(scaled=a - b, model=model)
-    return diff.norm()
+    diff = np.zeros(max(len(v1.scaled), len(v2.scaled)))
+    diff[: len(v1.scaled)] += v1.scaled
+    diff[: len(v2.scaled)] -= v2.scaled
+    return LpVector(scaled=diff, model=model).norm()
 
 
 @dataclass(frozen=True)
@@ -238,19 +237,17 @@ def support_probe(
     log_bound += schedule.log_beta_sq_tail(level, w)
     analytic = math.exp(log_bound)
 
+    # each sample keeps its own stream; distances are taken a block at a time
     depth = model.depth
+    b = np.zeros(max(depth + 1, len(target.scaled)))
+    b[: len(target.scaled)] = target.scaled
     hits_n = 0
-    for r in range(samples):
-        win_syms = sample_symbol_matrix(w, 1, depth + 1, state.substream(r))[0]
-        win = SymbolWindow(-depth, 0, win_syms)
-        v = window_vector(model, win)
-        n = max(len(v.scaled), len(target.scaled))
-        a = np.zeros(n)
-        b = np.zeros(n)
-        a[: len(v.scaled)] = v.scaled
-        b[: len(target.scaled)] = target.scaled
-        if LpVector(scaled=a - b, model=model).norm() < delta:
-            hits_n += 1
+    for start in range(0, samples, _PROBE_BLOCK):
+        block = range(start, min(start + _PROBE_BLOCK, samples))
+        syms = np.vstack([sample_symbol_matrix(w, 1, depth + 1, state.substream(r)) for r in block])
+        a = np.zeros((len(syms), len(b)))
+        a[:, : depth + 1] = model.amplitudes(syms[:, ::-1])
+        hits_n += int(np.count_nonzero(row_norms(model, a - b) < delta))
     return SupportProbeReport(
         empirical=hits_n / samples,
         hits=hits_n,

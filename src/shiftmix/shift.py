@@ -22,6 +22,7 @@ from .weights import GrowthChain, build_growth_chain
 __all__ = [
     "ShiftModel",
     "LpVector",
+    "row_norms",
     "canonical_shift",
     "apply_shift",
     "apply_section",
@@ -90,6 +91,13 @@ class ShiftModel:
     @property
     def n_seeds(self) -> int:
         return len(self.seed_values)
+
+    def amplitudes(self, symbols: np.ndarray) -> np.ndarray:
+        """Seed amplitudes of a symbol array (symbol n reads seed n)."""
+        try:
+            return self.symbol_alpha[symbols]
+        except IndexError:
+            raise ValueError("window contains symbols beyond the seed family") from None
 
     def seed(self, n: int) -> float:
         if not 1 <= n <= self.n_seeds:
@@ -165,11 +173,7 @@ class LpVector:
         return float(self.scaled[m] / self.model.W[m])
 
     def norm(self) -> float:
-        p = self.model.p_exp
-        y = np.abs(self.coords())
-        if p == 2.0:
-            return float(np.sqrt(np.dot(y, y)))
-        return float(np.sum(y**p) ** (1.0 / p))
+        return float(row_norms(self.model, self.scaled[None, :])[0])
 
     @staticmethod
     def from_coords(model: ShiftModel, coords: Sequence[float]) -> "LpVector":
@@ -190,6 +194,16 @@ class LpVector:
         y = self.coords()
         for m, v in enumerate(y):
             yield f"{m},{float(v)!r}"
+
+
+def row_norms(model: ShiftModel, scaled: np.ndarray) -> np.ndarray:
+    """Norms of the rows of scaled coordinates, each row's bits as if alone:
+    one BLAS dot per row for p = 2, otherwise a scalar root per row."""
+    p = model.p_exp
+    y = np.abs(scaled / model.W[: scaled.shape[1]])
+    if p == 2.0:
+        return np.sqrt((y[:, None, :] @ y[:, :, None])[:, 0, 0])
+    return np.array([s ** (1.0 / p) for s in np.sum(y**p, axis=1)])
 
 
 def apply_shift(model: ShiftModel, v: LpVector, steps: int) -> LpVector:

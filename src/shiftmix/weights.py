@@ -317,14 +317,6 @@ class ConditionReport:
     amplitude_caps: ConditionFit | None
     block_sum: dict[int, dict] | None
 
-    def all_fits(self) -> list[ConditionFit]:
-        fits = [self.tail_domination]
-        if self.sqrt_moment is not None:
-            fits.append(self.sqrt_moment)
-        if self.moment is not None:
-            fits.append(self.moment)
-        return fits
-
 
 def _moment_fit(
     name: str, logs: np.ndarray, log_in: np.ndarray, length: int, k_max: int

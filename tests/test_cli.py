@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from shiftmix.cli import ManifestError, main, parse_manifest
+from shiftmix.cli import ManifestError, _parse_grid, main, parse_manifest
 
 
 def run(args):
@@ -42,10 +42,35 @@ class TestManifest:
         m.write_text("no equals sign here\n")
         assert run(["basis-check", "--manifest", m, "--out", tmp_path / "o"]) == 2
 
+    def test_bool_fields_parse_strictly(self, tmp_path):
+        m = tmp_path / "m.txt"
+        for word, value in (("On", True), ("1", True), ("off", False), ("NO", False)):
+            m.write_text(f"exact = {word}\n")
+            assert parse_manifest(str(m))["exact"] is value
+        m.write_text("experiment = cov-decay\nexact = maybe\n")
+        with pytest.raises(ManifestError, match="m.txt:2.*expects bool"):
+            parse_manifest(str(m))
+        assert run(["cov-decay", "--manifest", m, "--out", tmp_path / "o"]) == 2
+
     def test_mismatched_subcommand_rejected(self, tmp_path):
         m = tmp_path / "m.txt"
         m.write_text("experiment = clt\n")
         assert run(["basis-check", "--manifest", m, "--out", tmp_path / "o"]) == 2
+
+
+class TestGrids:
+    def test_doubling_and_comma_forms(self):
+        assert _parse_grid("3:20") == [3, 6, 12]
+        assert _parse_grid("5:5") == [5]
+        assert _parse_grid("1,4,9") == [1, 4, 9]
+
+    @pytest.mark.parametrize("text", ["0:8", "-2:8", "4:2", "1,0,4", "-1"])
+    def test_bad_grids_rejected(self, text):
+        with pytest.raises(ValueError, match="grid"):
+            _parse_grid(text)
+
+    def test_reversed_lag_range_exits_two(self, tmp_path):
+        assert run(["cov-decay", "--lags", "4:2", "--out", tmp_path / "o"]) == 2
 
 
 class TestArtifacts:
@@ -76,13 +101,13 @@ class TestArtifacts:
         assert report["params"]["R"] == 150
 
     def test_worker_count_changes_no_byte(self, tmp_path):
-        a, b = tmp_path / "w1", tmp_path / "w4"
-        assert run(["clt", "--R", 150, "--N", 512, "--seed", 9, "--out", a]) == 0
-        assert run(
-            ["clt", "--R", 150, "--N", 512, "--seed", 9, "--workers", 4, "--out", b]
-        ) == 0
-        for name in ("data.csv", "report.json", "manifest.replay"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        for i, functional in enumerate(("ones", "mono:(0,0)=1;(0,1)=1")):
+            a, b = tmp_path / f"w1-{i}", tmp_path / f"w4-{i}"
+            args = ["clt", "--functional", functional, "--R", 150, "--N", 512, "--seed", 9]
+            assert run([*args, "--out", a]) == 0
+            assert run([*args, "--workers", 4, "--out", b]) == 0
+            for name in ("data.csv", "report.json", "manifest.replay"):
+                assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_cov_decay_mc_emits_all_columns(self, tmp_path):
         # artifact-shape check only; the short lag grid is no basis for a

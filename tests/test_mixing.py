@@ -6,8 +6,13 @@ from scipy.special import zeta
 
 from shiftmix import mixing
 from shiftmix.fourier import linear_fourier_table
-from shiftmix.observables import linear_functional, with_exact_mean_subtracted
-from shiftmix.sampling import SamplerState
+from shiftmix.observables import (
+    evaluate,
+    linear_functional,
+    monomial_sum,
+    with_exact_mean_subtracted,
+)
+from shiftmix.sampling import SamplerState, SymbolWindow, sample_symbol_matrix, window_vector
 from shiftmix.shift import canonical_shift
 
 
@@ -59,6 +64,26 @@ class TestEmpiricalCovariance:
             n_samples=40_000, depth=256, state=SamplerState(11),
         )
         assert np.all(np.abs(rep.mc - rep.exact) <= 3.0 * rep.se)
+
+    def test_monomial_lags_match_one_window_at_a_time(self, chain, weights40):
+        model = canonical_shift(2.0, depth=4, chain=chain)
+        obs = monomial_sum([(1.0, (0, 1)), (0.5, (3, 3))])
+        lags = [1, 3]
+        rep = mixing.empirical_covariance(
+            model, weights40, obs, obs, np.array(lags), 300, state=SamplerState(2)
+        )
+        mat = sample_symbol_matrix(weights40, 300, 7, SamplerState(2).substream(0))
+
+        def values(lag):  # window index 0 at column 6 - lag, realized to depth 4 at most
+            d = min(6 - lag, 4)
+            return np.array(
+                [evaluate(obs, window_vector(model, SymbolWindow(-d, 0, row[6 - lag - d : 7 - lag]))) for row in mat]
+            )
+
+        g = values(0)
+        for i, lag in enumerate(lags):
+            f = values(lag)
+            assert rep.mc[i] == ((f - f.mean()) * (g - g.mean())).mean()
 
     def test_depth_below_support_rejected(self, model2, weights40):
         obs = linear_functional(np.ones(257))
@@ -159,6 +184,21 @@ class TestClt:
         assert abs(rep.excess_kurtosis) < rep.kurtosis_limit
         assert rep.sigma2_series is not None
         assert abs(rep.sigma2_hat - rep.sigma2_series) <= 0.1 * rep.sigma2_series
+
+    def test_monomial_sums_match_step_by_step_loop(self, chain, weights40):
+        model = canonical_shift(2.0, depth=4, chain=chain)
+        obs = monomial_sum([(1.0, (0, 1)), (0.5, (2, 2)), (2.0, (6,))])  # (6,) reads past depth
+        obs = with_exact_mean_subtracted(obs, model, weights40)
+        n, width, state = 12, 18, SamplerState(3)
+        rep = mixing.clt_experiment(model, weights40, obs, n, 100, state)
+        for r in range(100):
+            syms = sample_symbol_matrix(weights40, 1, width, state.substream(r))[0]
+            total = 0.0
+            for p in range(n):
+                hi = width - 1 - p
+                lo = max(hi - model.depth, 0)
+                total += evaluate(obs, window_vector(model, SymbolWindow(lo - hi, 0, syms[lo : hi + 1])))
+            assert rep.samples[r] == total / math.sqrt(n)
 
     def test_zero_observable_degenerates(self, model2, weights40):
         obs = linear_functional([0.0])

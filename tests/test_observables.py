@@ -7,6 +7,7 @@ from scipy.special import gammaln
 from shiftmix.observables import (
     composition_series_bound,
     evaluate,
+    evaluate_windows,
     exact_mean,
     linear_functional,
     monomial_sum,
@@ -15,7 +16,8 @@ from shiftmix.observables import (
     taylor_growth_certificate,
     with_exact_mean_subtracted,
 )
-from shiftmix.shift import LpVector
+from shiftmix.sampling import SymbolWindow, window_vector
+from shiftmix.shift import LpVector, canonical_shift
 
 
 class TestEvaluate:
@@ -49,6 +51,72 @@ class TestEvaluate:
         assert parse_observable("normp:2").power == 2
         with pytest.raises(ValueError, match="unknown"):
             parse_observable("spline:3")
+
+
+class TestEvaluateWindows:
+    """The batched evaluator against evaluate(window_vector(...)), one window at a time."""
+
+    ENDS = [0, 1, 3, 6, 11]  # short windows, a full one, and one past the depth
+
+    @pytest.fixture(scope="class")
+    def model6(self, chain):
+        return canonical_shift(2.0, depth=6, chain=chain)
+
+    @pytest.fixture(scope="class")
+    def symbols(self):
+        # every symbol of the alphabet, so most amplitudes are non-zero
+        return np.random.default_rng(4).integers(1, 41, size=(5, 12))
+
+    def _reference(self, obs, model, symbols):
+        return np.array(
+            [
+                [evaluate(obs, window_vector(model, SymbolWindow(-e, 0, row[: e + 1]))) for e in self.ENDS]
+                for row in symbols
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "mono:()=2.5",
+            "mono:(0,1)=1;(2,2)=-0.5",
+            "mono:(0,3,3)=1.5;(5,)=2;()=-1",  # index 5 reads past the short windows
+            "mono:(1,8)=1;(9,)=3;(4,)=0.25",  # indices 8 and 9 past the depth
+            # coefficients where W_m is a power of two, so that the kernel form
+            # c_m / W_m * a and the coordinate form c_m * (a / W_m) round alike
+            "lin:0=1,1=0.5,2=-0.25,3=0,4=2",
+            "normp:2",
+            "normp:3",
+        ],
+    )
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_bits_match_one_window_at_a_time(self, model6, weights40, symbols, text, centered):
+        obs = parse_observable(text)
+        if centered and obs.kind != "norm_power":
+            obs = with_exact_mean_subtracted(obs, model6, weights40)
+        got = evaluate_windows(obs, model6, model6.amplitudes(symbols), self.ENDS)
+        ref = self._reference(obs, model6, symbols)
+        assert got.shape == (5, len(self.ENDS))
+        assert got.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+
+    def test_norm_power_bits_for_other_exponent(self, chain, symbols):
+        model = canonical_shift(2.0, p_exp=1.5, depth=6, chain=chain)
+        obs = norm_power(2)
+        got = evaluate_windows(obs, model, model.amplitudes(symbols), self.ENDS)
+        ref = self._reference(obs, model, symbols)
+        assert got.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+
+    def test_general_linear_coefficients_agree_to_rounding(self, model6, symbols):
+        obs = linear_functional([1.0, 0.0, 0.0, 0.7, 0.0, -1.3])
+        got = evaluate_windows(obs, model6, model6.amplitudes(symbols), self.ENDS)
+        np.testing.assert_allclose(got, self._reference(obs, model6, symbols), rtol=1e-12, atol=1e-15)
+
+    def test_symbols_beyond_seed_family_rejected(self, model6):
+        bad = np.array([[1, 2, model6.n_seeds + 1]])
+        with pytest.raises(ValueError, match="beyond the seed family"):
+            model6.amplitudes(bad)
+        with pytest.raises(ValueError, match="beyond the seed family"):
+            window_vector(model6, SymbolWindow(-2, 0, bad[0]))
 
 
 class TestExactMean:

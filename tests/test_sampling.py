@@ -8,6 +8,8 @@ import shiftmix as sm
 from shiftmix.sampling import (
     SamplerState,
     SymbolWindow,
+    _symbols,
+    _thresholds,
     conjugacy_residual,
     sample_symbol_matrix,
     sample_window,
@@ -57,6 +59,17 @@ class TestSampler:
         a = sample_symbol_matrix(weights40, 3000, 64, SamplerState(3), chunk=1024)
         b = sample_symbol_matrix(weights40, 3000, 64, SamplerState(3), chunk=1024)
         assert np.array_equal(a, b)
+
+    def test_zero_seed_fast_path_matches_full_search(self, weights40):
+        thr = _thresholds(weights40)
+        edge = [thr[0], np.nextafter(thr[0], 0.0), np.nextafter(thr[0], 1.0), 0.0]
+        ties = list(thr[1:6]) + [np.nextafter(t, 0.0) for t in thr[1:6]]
+        top = [1.0 - 2.0**-53, np.nextafter(thr[-1], 1.0), thr[-1]]
+        u = np.array(edge + ties + top)
+        full = np.searchsorted(thr, u, side="right") + 1
+        assert _symbols(thr, u).tolist() == full.tolist()
+        assert _symbols(thr, u[None, :]).tolist() == [full.tolist()]
+        assert full[:4].tolist() == [2, 1, 2, 1]
 
     def test_coordinate_independence(self, model2, weights40):
         r = 20_000
@@ -193,6 +206,23 @@ class TestSupportProbe:
         log_bound = 2 * half * float(weights40.log_p[0]) + float(weights40.log_p[1])
         log_bound += sched.log_beta_sq_tail(rep.level, weights40)
         assert rep.analytic_log == pytest.approx(log_bound, rel=1e-12)
+
+    @pytest.mark.parametrize("p_exp", [2.0, 1.5])
+    def test_hits_match_one_window_at_a_time(self, chain, weights40, p_exp):
+        model = sm.canonical_shift(2.0, p_exp, depth=20, chain=chain)
+        target = apply_section(model, 2, 1)
+        state = SamplerState(6)
+        # 150 samples: two full blocks and a partial one
+        rep = support_probe(model, weights40, target, 0.05, 150, state)
+        hits = 0
+        for r in range(150):
+            syms = sample_symbol_matrix(weights40, 1, 21, state.substream(r))[0]
+            v = window_vector(model, SymbolWindow(-20, 0, syms))
+            b = np.zeros(21)
+            b[: len(target.scaled)] = target.scaled
+            hits += LpVector(scaled=v.scaled - b, model=model).norm() < 0.05
+        assert 0 < hits < 150
+        assert rep.hits == hits
 
     def test_off_grid_target_rejected(self, model2, weights40):
         bad = LpVector.from_coords(model2, [0.3])  # 0.3 is not on the dyadic grid

@@ -12,6 +12,7 @@ tolerance of the subcommand holds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -247,10 +248,7 @@ def _run_cov_decay(params):
         )
         if report.exact is not None and report.mc is not None:
             # a sampled fit is only meaningful on lags above the noise floor
-            mc_only = mixing.DecayReport(
-                lags=report.lags, mc=report.mc, se=report.se, exact=None,
-                alpha=report.alpha, n_samples=report.n_samples,
-            )
+            mc_only = dataclasses.replace(report, exact=None)
             try:
                 results["slope_mc"] = mixing.decay_exponent_fit(mc_only).slope
             except ValueError as exc:
@@ -487,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"manifest experiment {exp!r} does not match subcommand {args.experiment!r}"
                 )
             params.update(loaded)
-    except ManifestError as exc:
+    except (ManifestError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for field in _FIELDS:
@@ -496,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
             params[field] = v
     try:
         return run_experiment(args.experiment, params)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

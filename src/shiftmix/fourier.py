@@ -1,19 +1,19 @@
 """Coefficients of observables in the tensor basis, and exact covariance.
 
 A tensor basis element is a product of triangular basis functions attached
-to distinct window positions.  For linear functionals the coefficient table
-factorizes as ``a[l, j] = A_l * c_{-j} / W_{-j}`` with
-``A_l = <basis_l, seed amplitude>`` in the weighted symbol space, supported
-on nonpositive positions only (forward orbits of the seed family vanish).
-Covariance at a lag is a coefficient convolution; for a pair of linear
-tables with finitely supported coefficient vectors the convolution is a
-finite sum and carries no truncation remainder.
+to distinct window positions.  Tables are built for linear functionals
+only, where the coefficients factorize as ``a[l, j] = A_l * c_{-j} / W_{-j}``
+with ``A_l = <basis_l, seed amplitude>`` in the weighted symbol space,
+supported on nonpositive positions only (forward orbits of the seed family
+vanish).  Covariance at a lag is the coefficient convolution of two such
+tables, a finite sum that is exact for the truncated functionals.  Single
+coefficients of any observable are estimated by Monte Carlo.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,68 +52,34 @@ class TensorIndex:
     def arity(self) -> int:
         return len(self.levels)
 
-    def csv_key(self) -> str:
-        return "-".join(map(str, self.levels)) + "," + "-".join(map(str, self.positions))
-
 
 @dataclass(frozen=True)
 class FourierTable:
-    """Coefficient table of one observable, possibly in factorized form.
+    """Factorized coefficient table of one linear functional.
 
-    ``level_factors[l-1]`` and ``depth_factors[m] = c_m / W_m`` describe a
-    rank-one linear table; ``entries`` holds explicitly stored coefficients
-    (always the case for sampled tables).  ``mean`` is the constant-part
+    ``level_factors[l-1]`` and ``depth_factors[m] = c_m / W_m`` give the
+    coefficient ``a[l, -m]`` as their product.  ``mean`` is the constant-part
     coefficient, kept separate because covariances never see it.
     """
 
-    descriptor: str
-    degree: int
-    r_max: int
-    l_max: int
-    j_lo: int
-    j_hi: int
     mean: float
-    entries: dict[TensorIndex, float] = field(default_factory=dict)
-    level_factors: np.ndarray | None = None
-    depth_factors: np.ndarray | None = None
-    weight_probs: np.ndarray | None = None
-    # position-decay envelope |a[l, j]| <= envelope_c * prod (1+|j_i|)^-envelope_alpha,
-    # used to bound what truncation drops in covariance sums
-    envelope_c: float | None = None
-    envelope_alpha: float | None = None
-
-    @property
-    def is_linear(self) -> bool:
-        return self.level_factors is not None
+    level_factors: np.ndarray
+    depth_factors: np.ndarray
+    weight_probs: np.ndarray
 
     def coefficient(self, index: TensorIndex) -> float:
-        if index in self.entries:
-            return self.entries[index]
-        if self.is_linear:
-            if index.arity != 1:
-                return 0.0
-            (l,), (j,) = index.levels, index.positions
-            if l > len(self.level_factors) or j > 0 or -j >= len(self.depth_factors):
-                return 0.0
-            return float(self.level_factors[l - 1] * self.depth_factors[-j])
-        return 0.0
-
-    def csv_rows(self):
-        if self.is_linear:
-            for l in range(1, len(self.level_factors) + 1):
-                for j in range(self.j_lo, min(self.j_hi, 0) + 1):
-                    v = self.coefficient(TensorIndex((l,), (j,)))
-                    yield f"1,{l},{j},{v!r}"
-        for idx in sorted(self.entries, key=lambda i: (i.arity, i.levels, i.positions)):
-            yield f"{idx.arity},{idx.csv_key()},{float(self.entries[idx])!r}"
+        if index.arity != 1:
+            return 0.0
+        (l,), (j,) = index.levels, index.positions
+        if l > len(self.level_factors) or j > 0 or -j >= len(self.depth_factors):
+            return 0.0
+        return float(self.level_factors[l - 1] * self.depth_factors[-j])
 
 
 def linear_fourier_table(
     model: ShiftModel,
     basis: TriangularBasis,
     coefs: np.ndarray,
-    j_lo: int | None = None,
-    l_max: int | None = None,
 ) -> FourierTable:
     """Coefficient table of the functional ``x -> sum_m coefs[m] x_m``.
 
@@ -126,32 +92,20 @@ def linear_fourier_table(
     coefs = np.asarray(coefs, dtype=float)
     if len(coefs) > model.depth + 1:
         raise ValueError("coefficient vector longer than the model truncation")
-    if l_max is None:
-        l_max = basis.l_max
-    if l_max > basis.l_max:
-        raise ValueError("l_max beyond the basis truncation")
     if model.n_seeds < w.length:
         raise ValueError("seed family shorter than the symbol alphabet")
 
     amps = model.seed_values[: w.length]
     weighted = w.p * amps
     suffix = np.concatenate([np.cumsum(weighted[::-1])[::-1], [0.0]])
-    A = np.empty(l_max)
-    for l in range(1, l_max + 1):
+    A = np.empty(basis.l_max)
+    for l in range(1, basis.l_max + 1):
         A[l - 1] = w.p[l - 1] * basis.diag[l - 1] * amps[l - 1] + basis.off[l - 1] * suffix[l]
 
     depth_factors = coefs / model.W[: len(coefs)]
     mean_amp = float(np.dot(w.p, amps))
     mean = mean_amp * float(depth_factors.sum())
-    if j_lo is None:
-        j_lo = -(len(coefs) - 1)
     return FourierTable(
-        descriptor=f"linear[{len(coefs)}]",
-        degree=1,
-        r_max=1,
-        l_max=l_max,
-        j_lo=j_lo,
-        j_hi=0,
         mean=mean,
         level_factors=A,
         depth_factors=depth_factors,
@@ -196,55 +150,27 @@ def mc_fourier_coefficient(
     return est, se
 
 
-def exact_covariance(
-    table_f: FourierTable,
-    table_g: FourierTable,
-    lag: int,
-    with_remainder: bool = False,
-):
+def exact_covariance(table_f: FourierTable, table_g: FourierTable, lag: int) -> float:
     """Coefficient convolution ``sum a[l, j] b[l, j - lag]``.
 
-    For two factorized linear tables this reduces to
-    ``(sum_l A_l B_l) * sum_m cf_m cg_{m+lag} / (W_m W_{m+lag})`` and the
-    value is exact for the truncated functionals (remainder 0).  Mixed or
-    sampled tables are summed over their stored entries and the remainder
-    reports an envelope bound for everything outside the stored ranges.
+    For two factorized tables this reduces to
+    ``(sum_l A_l B_l) * sum_m cf_m cg_{m+lag} / (W_m W_{m+lag})``, which is
+    exact for the truncated functionals.
     """
-    if table_f.is_linear and table_g.is_linear:
-        n = min(len(table_f.level_factors), len(table_g.level_factors))
-        amp = float(np.dot(table_f.level_factors[:n], table_g.level_factors[:n]))
-        gf, gg = table_f.depth_factors, table_g.depth_factors
-        if lag >= 0:
-            k = min(len(gf), len(gg) - lag)
-            conv = float(np.dot(gf[:k], gg[lag : lag + k])) if k > 0 else 0.0
-        else:
-            k = min(len(gg), len(gf) + lag)
-            conv = float(np.dot(gf[-lag : -lag + k], gg[:k])) if k > 0 else 0.0
-        value = amp * conv
-        return (value, 0.0) if with_remainder else value
-
-    value = 0.0
-    for idx, a in table_f.entries.items():
-        shifted = TensorIndex(idx.levels, tuple(j - lag for j in idx.positions))
-        value += a * table_g.coefficient(shifted)
-    if not with_remainder:
-        return value
-    if table_f.envelope_c is None or table_g.envelope_c is None:
-        raise ValueError("entry tables need decay envelopes to bound the remainder")
-    # everything outside the stored position window has |j| > j_cut on at
-    # least one side; bound the dropped convolution by the envelope tail
-    a = min(table_f.envelope_alpha, table_g.envelope_alpha)
-    j_cut = max(abs(table_f.j_lo), table_f.j_hi, 1)
-    cross = sum((1.0 + abs(j)) ** (-a) for j in range(-j_cut - abs(lag), j_cut + abs(lag) + 1))
-    tail = 2.0 * (1.0 + j_cut) ** (-(a - 1.0)) / max(a - 1.0, 1e-12)
-    remainder = table_f.envelope_c * table_g.envelope_c * tail * cross
-    return value, remainder
+    n = min(len(table_f.level_factors), len(table_g.level_factors))
+    amp = float(np.dot(table_f.level_factors[:n], table_g.level_factors[:n]))
+    gf, gg = table_f.depth_factors, table_g.depth_factors
+    if lag >= 0:
+        k = min(len(gf), len(gg) - lag)
+        conv = float(np.dot(gf[:k], gg[lag : lag + k])) if k > 0 else 0.0
+    else:
+        k = min(len(gg), len(gf) + lag)
+        conv = float(np.dot(gf[-lag : -lag + k], gg[:k])) if k > 0 else 0.0
+    return amp * conv
 
 
 def coefficient_envelope_constant(table: FourierTable, model: ShiftModel) -> float:
     """Fitted C with |a[l, j]| <= C sqrt(p_l) (1 + |j|)^(-alpha) over the table."""
-    if not table.is_linear or table.weight_probs is None:
-        raise ValueError("envelope fit needs a factorized linear table")
     sqp = np.sqrt(table.weight_probs)
     n_l = len(table.level_factors)
     ms = np.arange(len(table.depth_factors), dtype=float)

@@ -19,6 +19,8 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
+from .mixing import log_log_fit
+
 __all__ = [
     "DecayedFunction",
     "QuadratureConfig",
@@ -155,13 +157,10 @@ def translation_decay_fit(
         errs.append(res.error)
     if len(ks) < 2:
         raise ValueError("need at least two usable grid points to fit a slope")
-    x = np.log(np.array(ks, dtype=float))
-    y = np.log(np.array(norms))
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
+    fit = log_log_fit(ks, norms)
     return TranslationDecayFit(
-        exponent=float(-coef[0]),
-        intercept=float(coef[1]),
+        exponent=-fit.slope,
+        intercept=fit.intercept,
         guaranteed=guaranteed_decay_exponent(p),
         ks=np.array(ks),
         norms=np.array(norms),

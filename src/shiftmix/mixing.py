@@ -18,8 +18,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
-from .basis import TriangularBasis, build_basis
+from .basis import build_basis
 from .fourier import FourierTable, exact_covariance, linear_fourier_table
 from .observables import Observable, evaluate_windows, exact_mean
 from .sampling import SamplerState, sample_symbol_matrix
@@ -31,6 +32,7 @@ __all__ = [
     "SlopeFit",
     "empirical_covariance",
     "exact_decay_curve",
+    "log_log_fit",
     "decay_exponent_fit",
     "log_lag_ratio_band",
     "CltReport",
@@ -95,7 +97,6 @@ def empirical_covariance(
     n_samples: int,
     depth: int | None = None,
     state: SamplerState | None = None,
-    basis: TriangularBasis | None = None,
     workers: int = 1,
 ) -> DecayReport:
     """Monte Carlo lag covariances with standard errors and exact columns.
@@ -143,7 +144,7 @@ def empirical_covariance(
 
     exact = None
     if obs_f.kind == "linear" and obs_g.kind == "linear":
-        exact = exact_decay_curve(model, w, obs_f, obs_g, lags, basis).exact
+        exact = exact_decay_curve(model, w, obs_f, obs_g, lags).exact
     return DecayReport(
         lags=lags, mc=mc, se=se, exact=exact, alpha=model.alpha, n_samples=n_samples
     )
@@ -155,13 +156,11 @@ def exact_decay_curve(
     obs_f: Observable,
     obs_g: Observable,
     lags: np.ndarray,
-    basis: TriangularBasis | None = None,
 ) -> DecayReport:
     """Exact covariance decay only, for oracle-grade slope fits."""
     if obs_f.kind != "linear" or obs_g.kind != "linear":
         raise ValueError("exact curves exist for linear observables only")
-    if basis is None:
-        basis = build_basis(w)
+    basis = build_basis(w)
     lags = np.asarray(sorted(int(x) for x in lags))
     tf = linear_fourier_table(model, basis, obs_f.coefs)
     tg = linear_fourier_table(model, basis, obs_g.coefs)
@@ -177,7 +176,24 @@ class SlopeFit:
     n_points: int
 
 
-def decay_exponent_fit(report: DecayReport, lag_window: tuple[int, int] | None = None) -> SlopeFit:
+def log_log_fit(x, y) -> SlopeFit:
+    """Least-squares line through ``(log x, log y)``, with the half-width of
+    the 95 % interval of its slope (0 with two points or fewer)."""
+    lx = np.log(np.asarray(x, dtype=float))
+    ly = np.log(np.asarray(y, dtype=float))
+    A = np.vstack([lx, np.ones_like(lx)]).T
+    coef, res, _, _ = np.linalg.lstsq(A, ly, rcond=None)
+    n = len(lx)
+    if n > 2 and len(res) > 0:
+        s2 = float(res[0]) / (n - 2)
+        sx = float(np.sum((lx - lx.mean()) ** 2))
+        ci = 1.96 * math.sqrt(s2 / sx)
+    else:
+        ci = 0.0
+    return SlopeFit(slope=float(coef[0]), ci=ci, intercept=float(coef[1]), n_points=n)
+
+
+def decay_exponent_fit(report: DecayReport) -> SlopeFit:
     """Least-squares slope of log |cov| against log lag.
 
     Only lags whose covariance exceeds ten times its error bound enter the
@@ -186,34 +202,17 @@ def decay_exponent_fit(report: DecayReport, lag_window: tuple[int, int] | None =
     """
     values = report.exact if report.exact is not None else report.mc
     mask = report.usable_mask() & (np.abs(values) > 0)
-    if lag_window is not None:
-        lo, hi = lag_window
-        mask &= (report.lags >= lo) & (report.lags <= hi)
     if not mask.any():
         raise ValueError("no signal: all covariances statistically zero")
     if mask.sum() < 5:
         raise ValueError(f"only {int(mask.sum())} usable lags; need at least 5")
-    x = np.log(report.lags[mask].astype(float))
-    y = np.log(np.abs(values[mask]))
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    n = int(mask.sum())
-    if n > 2 and len(res) > 0:
-        s2 = float(res[0]) / (n - 2)
-        sx = float(np.sum((x - x.mean()) ** 2))
-        ci = 1.96 * math.sqrt(s2 / sx)
-    else:
-        ci = 0.0
-    return SlopeFit(slope=float(coef[0]), ci=ci, intercept=float(coef[1]), n_points=n)
+    return log_log_fit(report.lags[mask], np.abs(values[mask]))
 
 
-def log_lag_ratio_band(report: DecayReport, lag_window: tuple[int, int] | None = None) -> tuple[float, float]:
+def log_lag_ratio_band(report: DecayReport) -> tuple[float, float]:
     """Spread of cov * lag / log(lag + 1), the boundary-regime diagnostic."""
     values = report.exact if report.exact is not None else report.mc
     mask = report.usable_mask()
-    if lag_window is not None:
-        lo, hi = lag_window
-        mask &= (report.lags >= lo) & (report.lags <= hi)
     lags = report.lags[mask].astype(float)
     ratio = values[mask] * lags / np.log(lags + 1.0)
     return float(ratio.min()), float(ratio.max())
@@ -256,14 +255,10 @@ class CltReport:
             yield f"{r},{float(v)!r}"
 
 
-def _normal_cdf(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.array([math.erf(t / math.sqrt(2.0)) for t in z]))
-
-
 def _ks_fitted_normal(samples: np.ndarray) -> float:
     n = len(samples)
     z = np.sort((samples - samples.mean()) / samples.std(ddof=1))
-    F = _normal_cdf(z)
+    F = ndtr(z)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
 
@@ -276,7 +271,6 @@ def clt_experiment(
     replicas: int,
     state: SamplerState,
     exploratory: bool = False,
-    basis: TriangularBasis | None = None,
     workers: int = 1,
 ) -> CltReport:
     """Distribution of normalized Birkhoff sums over independent replicas.
@@ -351,9 +345,7 @@ def clt_experiment(
 
     sigma2_series = None
     if obs.kind == "linear":
-        if basis is None:
-            basis = build_basis(w)
-        table = linear_fourier_table(model, basis, obs.coefs)
+        table = linear_fourier_table(model, build_basis(w), obs.coefs)
         c0 = exact_covariance(table, table, 0)
         total = c0
         for p in range(1, len(obs.coefs)):
@@ -410,8 +402,6 @@ def conditional_norm_diagnostics(table: FourierTable, n_grid: np.ndarray) -> Mar
     of squared coefficient windows; with the factorized table these reduce
     to prefix-sum arithmetic on the depth factors.
     """
-    if not table.is_linear:
-        raise ValueError("diagnostics need a factorized linear table")
     n_grid = np.asarray(sorted(int(n) for n in n_grid))
     g = table.depth_factors  # position -m carries g[m]
     D = len(g) - 1

@@ -187,10 +187,12 @@ def exact_mean(obs: Observable, model: ShiftModel, w: SymbolWeights) -> float:
         moments = _amplitude_moments(model, w, orders)
         total = 0.0
         for c, ix in obs.terms:
+            if any(i > model.depth for i in ix):
+                continue  # coordinates past the truncation read as 0
             prod = c
             for i in set(ix):
                 u = ix.count(i)
-                prod *= moments[u] / model.weight_at(i) ** u
+                prod *= moments[u] / float(model.W[i]) ** u
             total += prod
         return total - obs.mean_shift
     raise ValueError("no closed-form mean for norm powers")

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_CHUNK = 1024  # rows of a symbol matrix drawn from one substream
 _PROBE_BLOCK = 64  # support-probe samples whose distances are taken together
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -82,10 +83,6 @@ class SymbolWindow:
         """The forward-shift image: index k now reads the old k - steps."""
         return SymbolWindow(self.lo + steps, self.hi + steps, self.symbols)
 
-    def csv_rows(self):
-        for k in range(self.lo, self.hi + 1):
-            yield f"{k},{self.symbols[k - self.lo]}"
-
 
 def _thresholds(w: SymbolWeights) -> np.ndarray:
     return np.cumsum(w.p)[:-1]
@@ -107,9 +104,7 @@ def sample_window(w: SymbolWeights, lo: int, hi: int, state: SamplerState) -> Sy
     return SymbolWindow(lo, hi, _symbols(_thresholds(w), state.rng().random(hi - lo + 1)))
 
 
-def sample_symbol_matrix(
-    w: SymbolWeights, rows: int, cols: int, state: SamplerState, chunk: int = 1024
-) -> np.ndarray:
+def sample_symbol_matrix(w: SymbolWeights, rows: int, cols: int, state: SamplerState) -> np.ndarray:
     """Rows of i.i.d. symbols, one stream per fixed-size chunk of rows.
 
     The chunk size is a constant of the algorithm, not of the executor, so
@@ -117,9 +112,9 @@ def sample_symbol_matrix(
     """
     thr = _thresholds(w)
     out = np.empty((rows, cols), dtype=np.int64)
-    for start in range(0, rows, chunk):
-        stop = min(start + chunk, rows)
-        rng = state.substream(start // chunk).rng()
+    for start in range(0, rows, _CHUNK):
+        stop = min(start + _CHUNK, rows)
+        rng = state.substream(start // _CHUNK).rng()
         out[start:stop] = _symbols(thr, rng.random((stop - start, cols)))
     return out
 

@@ -190,11 +190,6 @@ class LpVector:
         z[m] = model.W[m]
         return LpVector(scaled=z, model=model)
 
-    def csv_rows(self):
-        y = self.coords()
-        for m, v in enumerate(y):
-            yield f"{m},{float(v)!r}"
-
 
 def row_norms(model: ShiftModel, scaled: np.ndarray) -> np.ndarray:
     """Norms of the rows of scaled coordinates, each row's bits as if alone:

@@ -40,11 +40,9 @@ __all__ = [
     "build_symbol_weights",
     "check_weight_conditions",
     "build_block_schedule",
-    "measure_to_doc",
-    "measure_from_doc",
 ]
 
-# Named growth functions usable from manifests and serialized documents.
+# Named growth functions usable from manifests and command-line flags.
 GROWTH_FUNCTIONS: dict[str, Callable[[int], float]] = {
     "log": lambda k: math.log(k + math.e),
     "linear": lambda k: 1.0 + k,
@@ -99,27 +97,6 @@ class GrowthChain:
                 rhs = k * log_mid[k - 1] + kp * log_mid[kp - 1]
                 worst = max(worst, lhs - rhs)
         return worst
-
-    def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": {"k_max": self.k_max},
-            "outer": [repr(v) for v in self.outer.tolist()],
-            "middle": [repr(v) for v in self.middle.tolist()],
-            "inner": [repr(v) for v in self.inner.tolist()],
-            "ratio_monotone_from": self.ratio_monotone_from,
-        }
-
-    @staticmethod
-    def from_doc(doc: dict) -> "GrowthChain":
-        return GrowthChain(
-            kind=doc["kind"],
-            k_max=int(doc["params"]["k_max"]),
-            outer=np.array([float(v) for v in doc["outer"]]),
-            middle=np.array([float(v) for v in doc["middle"]]),
-            inner=np.array([float(v) for v in doc["inner"]]),
-            ratio_monotone_from=int(doc["ratio_monotone_from"]),
-        )
 
 
 def build_growth_chain(outer: str | Callable[[int], float], k_max: int = 128) -> GrowthChain:
@@ -191,7 +168,7 @@ class SymbolWeights:
     ``tail[l-1]`` is ``q_l = sum_{m >= l} p_m`` computed by backward
     summation, so ``q_l = p_l + q_{l+1}`` holds exactly in floating point.
     Mass beyond index L of the underlying infinite recursion is folded into
-    symbol L, hence ``tail_beyond = 0``.
+    symbol L, hence ``q_{L+1} = 0``.
     """
 
     p: np.ndarray
@@ -199,7 +176,6 @@ class SymbolWeights:
     tail: np.ndarray
     length: int
     d_max: int
-    tail_beyond: float = 0.0
 
     def __post_init__(self):
         if len(self.p) != self.length or len(self.tail) != self.length:
@@ -208,33 +184,19 @@ class SymbolWeights:
             raise ValueError("probabilities must be positive")
         if np.any(np.diff(self.p) >= 0):
             raise ValueError("probabilities must be strictly decreasing")
-        total = math.fsum(self.p.tolist()) + self.tail_beyond
+        total = math.fsum(self.p.tolist())
         if abs(total - 1.0) > 1e-15:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     def suffix(self, l: int) -> float:
-        """q_l for 1 <= l <= length + 1 (q_{L+1} is the folded remainder)."""
+        """q_l for 1 <= l <= length + 1 (q_{L+1} = 0, its mass is folded into p_L)."""
         if l == self.length + 1:
-            return self.tail_beyond
+            return 0.0
         return float(self.tail[l - 1])
 
     def tail_ratios(self) -> np.ndarray:
         """sum_{m>l} p_m / p_l for l = 1..L-1."""
         return (self.tail[1:] ) / self.p[:-1]
-
-    def to_doc(self) -> dict:
-        return {
-            "p": [repr(v) for v in self.p.tolist()],
-            "p_log": [repr(v) for v in self.log_p.tolist()],
-            "d_max": self.d_max,
-        }
-
-    @staticmethod
-    def from_doc(doc: dict) -> "SymbolWeights":
-        p = np.array([float(v) for v in doc["p"]])
-        log_p = np.array([float(v) for v in doc["p_log"]])
-        tail = np.cumsum(p[::-1])[::-1]
-        return SymbolWeights(p=p, log_p=log_p, tail=tail, length=len(p), d_max=int(doc["d_max"]))
 
     @staticmethod
     def from_probabilities(p: Sequence[float], d_max: int = 0) -> "SymbolWeights":
@@ -456,13 +418,6 @@ class BlockSchedule:
             total += 2.0 * gap * math.log(s)
         return total
 
-    def to_doc(self) -> dict:
-        return {"N": [int(v) for v in self.bounds.tolist()]}
-
-    @staticmethod
-    def from_doc(doc: dict, weights: SymbolWeights) -> "BlockSchedule":
-        return _schedule_from_bounds(np.array(doc["N"], dtype=np.int64), weights)
-
 
 def _schedule_from_bounds(bounds: np.ndarray, w: SymbolWeights) -> BlockSchedule:
     sigma = np.cumsum(w.p)
@@ -516,26 +471,3 @@ def build_block_schedule(model, w: SymbolWeights, chain: GrowthChain, levels: in
             bounds[l - 1] = max(n_min, bounds[l - 2] + (bounds[l - 2] - bounds[l - 3]) + 1)
     return _schedule_from_bounds(bounds, w)
 
-
-def measure_to_doc(
-    chain: GrowthChain, weights: SymbolWeights, schedule: BlockSchedule | None = None
-) -> dict:
-    doc = {
-        "chain": chain.to_doc(),
-        "p": weights.to_doc()["p_log"],
-        "p_linear": weights.to_doc()["p"],
-        "d_max": weights.d_max,
-        "N": schedule.to_doc()["N"] if schedule is not None else None,
-    }
-    return doc
-
-
-def measure_from_doc(doc: dict) -> tuple[GrowthChain, SymbolWeights, BlockSchedule | None]:
-    chain = GrowthChain.from_doc(doc["chain"])
-    weights = SymbolWeights.from_doc(
-        {"p": doc["p_linear"], "p_log": doc["p"], "d_max": doc["d_max"]}
-    )
-    schedule = None
-    if doc.get("N") is not None:
-        schedule = BlockSchedule.from_doc({"N": doc["N"]}, weights)
-    return chain, weights, schedule

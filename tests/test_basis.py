@@ -85,7 +85,6 @@ def test_vanished_suffix_truncates_with_warning():
     object.__setattr__(w, "tail", tail)
     object.__setattr__(w, "length", 3)
     object.__setattr__(w, "d_max", 0)
-    object.__setattr__(w, "tail_beyond", 0.0)
     with pytest.warns(RuntimeWarning, match="truncated"):
         b = build_basis(w)
     assert b.l_max == 1

@@ -57,6 +57,16 @@ class TestManifest:
         m.write_text("experiment = clt\n")
         assert run(["basis-check", "--manifest", m, "--out", tmp_path / "o"]) == 2
 
+    def test_missing_manifest_exits_two(self, tmp_path, capsys):
+        assert run(["basis-check", "--manifest", tmp_path / "absent.txt", "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_undecodable_manifest_exits_two(self, tmp_path, capsys):
+        m = tmp_path / "m.txt"
+        m.write_bytes(b"seed = \xff\xfe\n")
+        assert run(["basis-check", "--manifest", m, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestGrids:
     def test_doubling_and_comma_forms(self):
@@ -84,6 +94,12 @@ class TestArtifacts:
         assert csv[0].startswith("# manifest_hash=")
         assert csv[0].split("=")[1] == report["manifest_hash"]
         assert (out / "manifest.replay").exists()
+
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(["basis-check", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_replay_manifest_reproduces_run(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

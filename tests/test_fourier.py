@@ -21,18 +21,6 @@ class TestTensorIndex:
         with pytest.raises(ValueError, match="levels"):
             TensorIndex((0,), (1,))
 
-    def test_csv_key(self):
-        idx = TensorIndex((1, 2), (-3, 0))
-        assert idx.csv_key() == "1-2,-3-0"
-
-    def test_table_csv_rows(self, model2, basis40):
-        t = linear_fourier_table(model2, basis40, [1.0, 0.5], l_max=2)
-        rows = list(t.csv_rows())
-        assert all(r.startswith("1,") for r in rows)
-        arity, level, pos, value = rows[0].split(",")
-        assert (arity, level, pos) == ("1", "1", "-1")
-        float(value)
-
 
 class TestLinearTable:
     def test_point_mass_supported_at_zero(self, model2, basis40):
@@ -122,33 +110,6 @@ class TestExactCovariance:
         assert exact_covariance(tf, tg, 1) == pytest.approx(var, rel=1e-12)
         for lag in (0, 2, -1):
             assert exact_covariance(tf, tg, lag) == 0.0
-
-    def test_linear_tables_have_no_remainder(self, model2, basis40):
-        t = linear_fourier_table(model2, basis40, np.ones(64))
-        value, rem = exact_covariance(t, t, 2, with_remainder=True)
-        assert rem == 0.0
-
-    def test_entry_tables_convolve_and_bound_remainder(self):
-        from shiftmix.fourier import FourierTable
-
-        def table(entries):
-            return FourierTable(
-                descriptor="synthetic", degree=2, r_max=1, l_max=2,
-                j_lo=-2, j_hi=0, mean=0.0, entries=entries,
-                envelope_c=1.0, envelope_alpha=2.0,
-            )
-
-        f = table({TensorIndex((1,), (0,)): 2.0, TensorIndex((1,), (-2,)): 0.5})
-        g = table({TensorIndex((1,), (-1,)): 3.0, TensorIndex((2,), (-1,)): 7.0})
-        # only the level-1 pair at shifted position -1 survives lag 1
-        assert exact_covariance(f, g, 1) == 2.0 * 3.0
-        assert exact_covariance(f, g, 2) == 0.0
-        value, rem = exact_covariance(f, g, 1, with_remainder=True)
-        assert value == 6.0 and rem > 0.0
-        bare = table({TensorIndex((1,), (0,)): 1.0})
-        object.__setattr__(bare, "envelope_c", None)
-        with pytest.raises(ValueError, match="envelope"):
-            exact_covariance(bare, bare, 0, with_remainder=True)
 
 
 class TestEnvelope:

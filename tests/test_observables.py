@@ -16,7 +16,7 @@ from shiftmix.observables import (
     taylor_growth_certificate,
     with_exact_mean_subtracted,
 )
-from shiftmix.sampling import SymbolWindow, window_vector
+from shiftmix.sampling import SamplerState, SymbolWindow, sample_symbol_matrix, window_vector
 from shiftmix.shift import LpVector, canonical_shift
 
 
@@ -147,6 +147,19 @@ class TestExactMean:
         assert exact_mean(obs, model2, weights40) == pytest.approx(
             mean * mean / model2.W[2], rel=1e-12
         )
+
+    def test_monomial_past_the_depth_matches_sampled_windows(self, chain, weights40):
+        # coordinates past the truncation read as 0 in the mean as in evaluation
+        model = canonical_shift(2.0, depth=2, chain=chain)
+        syms = sample_symbol_matrix(weights40, 20_000, 3, SamplerState(12))
+        amp = model.amplitudes(syms)
+        past = monomial_sum([(2.0, (1, 3)), (5.0, (4,)), (0.5, ())])
+        vals = evaluate_windows(past, model, amp, [2])[:, 0]
+        assert exact_mean(past, model, weights40) == vals.mean() == 0.5
+        mixed = monomial_sum([(1.0, (0, 0)), (3.0, (2, 5))])
+        vals = evaluate_windows(mixed, model, amp, [2])[:, 0]
+        se = vals.std(ddof=1) / math.sqrt(len(vals))
+        assert abs(exact_mean(mixed, model, weights40) - vals.mean()) <= 3.0 * se
 
     def test_norm_power_mean_rejected(self, model2, weights40):
         with pytest.raises(ValueError, match="norm powers"):

@@ -57,7 +57,7 @@ class TestSymbolWeights:
 
     def test_strictly_decreasing_and_normalized(self, weights40):
         assert np.all(np.diff(weights40.p) < 0)
-        assert abs(math.fsum(weights40.p.tolist()) + weights40.tail_beyond - 1.0) <= 1e-15
+        assert abs(math.fsum(weights40.p.tolist()) - 1.0) <= 1e-15
 
     def test_suffix_recurrence_exact(self, weights40):
         w = weights40
@@ -83,13 +83,6 @@ class TestSymbolWeights:
         big = wt.build_growth_chain("log", 128)
         with pytest.raises(ValueError, match="smaller length"):
             wt.build_symbol_weights(big, d_max=3, length=100)
-
-    def test_roundtrip_is_bit_exact(self, weights40):
-        doc = weights40.to_doc()
-        back = wt.SymbolWeights.from_doc(doc)
-        assert np.array_equal(back.p, weights40.p)
-        assert np.array_equal(back.log_p, weights40.log_p)
-        assert np.array_equal(back.tail, weights40.tail)
 
 
 class TestConditionReport:
@@ -160,20 +153,3 @@ class TestBlockSchedule:
     def test_zero_levels_is_valid_and_empty(self, weights40, chain, model2):
         sched = wt.build_block_schedule(model2, weights40, chain, levels=0)
         assert len(sched) == 0
-
-    def test_roundtrip_bit_exact(self, weights40, chain, model2):
-        sched = wt.build_block_schedule(model2, weights40, chain, levels=12)
-        back = wt.BlockSchedule.from_doc(sched.to_doc(), weights40)
-        assert np.array_equal(back.bounds, sched.bounds)
-        assert np.array_equal(back.beta, sched.beta)
-        assert back.log_beta_sq_sum == sched.log_beta_sq_sum
-
-
-def test_measure_document_roundtrip(weights40, chain, model2):
-    sched = wt.build_block_schedule(model2, weights40, chain, levels=8)
-    doc = wt.measure_to_doc(chain, weights40, sched)
-    c2, w2, s2 = wt.measure_from_doc(doc)
-    assert np.array_equal(c2.inner, chain.inner)
-    assert np.array_equal(c2.outer, chain.outer)
-    assert np.array_equal(w2.p, weights40.p)
-    assert np.array_equal(s2.bounds, sched.bounds)

@@ -1,12 +1,13 @@
 """Manifest-driven experiment runner.
 
-Every subcommand resolves its parameters from defaults, then an optional
-manifest file (flat ``key = value`` lines), then explicit flags, and writes
-three artifacts into the output directory: ``report.json`` with the summary
-and pass flags, ``data.csv`` with the per-point numbers, and
-``manifest.replay`` with the canonical manifest that reproduces the run
-byte for byte.  The exit status is 0 exactly when every contracted
-tolerance of the subcommand holds.
+Each subcommand takes the fields its experiment reads (``_SCHEMAS``) plus
+``out`` and ``workers``, which determine no result byte.  It resolves them
+from defaults, then an optional manifest file (flat ``key = value`` lines,
+none naming a field the experiment does not read), then explicit flags, and
+writes ``report.json`` (summary and pass flags), ``data.csv`` (per-point
+numbers) and ``manifest.replay`` (the canonical manifest that reproduces the
+run byte for byte).  The exit status is 0 exactly when every contracted
+tolerance holds, and 2 for an input that cannot be run.
 """
 
 from __future__ import annotations
@@ -25,22 +26,9 @@ from . import basis as basis_mod
 from . import halfplane as hp
 from . import mixing, observables, sampling, shift, weights
 
-EXPERIMENTS = (
-    "weights-check",
-    "basis-check",
-    "cov-decay",
-    "clt",
-    "mw",
-    "facts",
-    "halfplane-decay",
-    "envelope-check",
-    "support-probe",
-)
-
 _FIELDS: dict[str, tuple[type, object]] = {
     # name: (type, default)
     "seed": (int, 7),
-    "streams": (int, 0),  # base stream family of the master sampler state
     "alpha": (float, 2.0),
     "p_exp": (float, 2.0),
     "depth": (int, None),
@@ -57,7 +45,6 @@ _FIELDS: dict[str, tuple[type, object]] = {
     "k_grid": (str, "8:512"),
     "kmax_list": (str, "16,32,64"),
     "n_grid": (str, "4:4096"),
-    "tolerance": (float, 1e-10),
     "workers": (int, 1),
     "out": (str, "out"),
 }
@@ -82,7 +69,7 @@ def parse_manifest(path: str) -> dict:
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key == "experiment":
-            if val not in EXPERIMENTS:
+            if val not in _SCHEMAS:
                 raise ManifestError(f"{path}:{lineno}: unknown experiment {val!r}")
             values[key] = val
             continue
@@ -98,16 +85,18 @@ def parse_manifest(path: str) -> dict:
     return values
 
 
-# execution knobs that do not determine a single result byte
-_NON_IDENTITY = ("out", "workers")
+# execution fields: every subcommand takes them, and they determine no result byte
+_EXECUTION = ("out", "workers")
+
+
+def _identity(params: dict) -> dict:
+    """The set fields that determine the result: all but unset and execution fields."""
+    return {k: v for k, v in params.items() if v is not None and k not in _EXECUTION}
 
 
 def canonical_manifest(experiment: str, params: dict) -> str:
     lines = [f"experiment = {experiment}"]
-    for key in sorted(params):
-        v = params[key]
-        if v is None or key in _NON_IDENTITY:
-            continue
+    for key, v in sorted(_identity(params).items()):
         lines.append(f"{key} = {v!r}" if isinstance(v, float) else f"{key} = {v}")
     return "\n".join(lines) + "\n"
 
@@ -127,14 +116,17 @@ def _parse_grid(text: str) -> list[int]:
     return out
 
 
-def _build_stack(params):
+def _build_weights(params):
     chain = weights.build_growth_chain(params["growth"], 128)
-    w = weights.build_symbol_weights(chain, d_max=params["d_max"], length=params["L"])
-    depth = params["depth"] if params["depth"] is not None else 256
-    model = shift.canonical_shift(
-        params["alpha"], params["p_exp"], depth=depth, chain=chain
-    )
-    return chain, w, model
+    return chain, weights.build_symbol_weights(chain, d_max=params["d_max"], length=params["L"])
+
+
+def _build_stack(params, depth: int):
+    """Weights and model; ``depth`` is the experiment's default truncation."""
+    chain, w = _build_weights(params)
+    if params["depth"] is not None:
+        depth = params["depth"]
+    return w, shift.canonical_shift(params["alpha"], params["p_exp"], depth=depth, chain=chain)
 
 
 def _ones_functional(depth: int) -> observables.Observable:
@@ -154,7 +146,11 @@ def _pick_functional(name: str, depth: int) -> observables.Observable:
 
 
 def _run_weights_check(params):
-    chain, w, model = _build_stack(params)
+    if params["d_max"] < 1:
+        raise ValueError("weights-check needs d_max >= 1 for the amplitude caps")
+    chain, w = _build_weights(params)
+    # the block schedule reads only alpha of the model
+    model = shift.canonical_shift(params["alpha"], chain=chain)
     schedule = weights.build_block_schedule(model, w, chain, levels=w.length)
     report = weights.check_weight_conditions(w, chain, k_max=20, schedule=schedule)
     beta_sq = math.exp(schedule.log_beta_sq_sum)
@@ -182,7 +178,7 @@ def _run_weights_check(params):
 
 
 def _run_basis_check(params):
-    chain, w, _ = _build_stack(params)
+    _, w = _build_weights(params)
     b = basis_mod.build_basis(w)
     gram = b.gram_residual()
     l1 = b.l1_norms()
@@ -192,7 +188,7 @@ def _run_basis_check(params):
         "l1_constant": float(ratios.max()),
         "levels": b.l_max,
     }
-    passed = gram < params["tolerance"] and float(ratios.max()) <= 4.0
+    passed = gram < 1e-10 and float(ratios.max()) <= 4.0
     rows = [f"{l},{l1[l-1]!r},{math.sqrt(w.p[l-1])!r}" for l in range(1, b.l_max + 1)]
     print(f"max |Gram - I| = {gram:.3e}")
     return results, "l,l1_norm,sqrt_p", rows, passed
@@ -209,12 +205,9 @@ def _expected_slope(alpha: float) -> float | None:
 def _run_cov_decay(params):
     alpha = params["alpha"]
     lags = _parse_grid(params["lags"])
-    chain = weights.build_growth_chain(params["growth"], 128)
-    w = weights.build_symbol_weights(chain, d_max=params["d_max"], length=params["L"])
+    w, model = _build_stack(params, 1_048_576 if params["exact"] else 256)
+    obs = _pick_functional(params["functional"], model.depth)
     if params["exact"]:
-        depth = params["depth"] if params["depth"] is not None else 1_048_576
-        model = shift.canonical_shift(alpha, params["p_exp"], depth=depth, chain=chain)
-        obs = _pick_functional(params["functional"], depth)
         # half-dyadic grid through the lag range for a stable fit
         grid, v = [], float(lags[0])
         while int(round(v)) <= lags[-1]:
@@ -224,12 +217,9 @@ def _run_cov_decay(params):
             v *= math.sqrt(2.0)
         report = mixing.exact_decay_curve(model, w, obs, obs, np.array(grid))
     else:
-        depth = params["depth"] if params["depth"] is not None else 256
-        model = shift.canonical_shift(alpha, params["p_exp"], depth=depth, chain=chain)
-        obs = _pick_functional(params["functional"], depth)
         report = mixing.empirical_covariance(
             model, w, obs, obs, np.array(lags), n_samples=params["R"],
-            depth=depth, state=sampling.SamplerState(params["seed"], params["streams"]),
+            depth=model.depth, state=sampling.SamplerState(params["seed"]),
             workers=params["workers"],
         )
     results: dict = {"alpha": alpha, "lags": [int(x) for x in report.lags]}
@@ -269,13 +259,13 @@ def _run_cov_decay(params):
 
 
 def _run_clt(params):
-    chain, w, model = _build_stack(params)
+    w, model = _build_stack(params, 256)
     depth = model.depth if params["functional"] == "ones" else 0
     obs = _pick_functional(params["functional"], depth)
     obs = observables.with_exact_mean_subtracted(obs, model, w)
     report = mixing.clt_experiment(
         model, w, obs, n_steps=params["N"], replicas=params["R"],
-        state=sampling.SamplerState(params["seed"], params["streams"]),
+        state=sampling.SamplerState(params["seed"]),
         workers=params["workers"],
     )
     results = {
@@ -299,9 +289,9 @@ def _run_clt(params):
 
 def _run_mw(params):
     grid = _parse_grid(params["n_grid"])
-    if params["depth"] is None:
-        params = dict(params, depth=max(grid))  # no saturation below the horizon
-    chain, w, model = _build_stack(params)
+    if len(grid) < 2:
+        raise ValueError("mw needs at least two n-grid points")
+    w, model = _build_stack(params, max(grid))  # no saturation below the horizon
     b = basis_mod.build_basis(w)
     obs = _ones_functional(model.depth)
     table = mixing.linear_fourier_table(model, b, obs.coefs)
@@ -374,7 +364,7 @@ def _run_halfplane_decay(params):
 
 
 def _run_envelope_check(params):
-    kmaxes = [int(x) for x in params["kmax_list"].split(",")]
+    kmaxes = _parse_grid(params["kmax_list"])
     checks = [hp.envelope_sum_check(params["p"], np.ones(km), km) for km in kmaxes]
     ratios = [c.ratio for c in checks]
     counts_ok = all(
@@ -391,13 +381,13 @@ def _run_envelope_check(params):
 
 
 def _run_support_probe(params):
-    chain, w, model = _build_stack(params)
+    w, model = _build_stack(params, 256)
     targets = [
         ("zero", shift.LpVector(scaled=np.zeros(1), model=model)),
         ("seed2", shift.apply_section(model, 2, 0)),
         ("seed2-depth1", shift.apply_section(model, 2, 1)),
     ]
-    state = sampling.SamplerState(params["seed"], params["streams"])
+    state = sampling.SamplerState(params["seed"])
     rows, results, passed = [], {}, True
     for i, (name, target) in enumerate(targets):
         rep = sampling.support_probe(
@@ -413,35 +403,35 @@ def _run_support_probe(params):
     return results, "target,empirical,analytic", rows, passed
 
 
-_RUNNERS = {
-    "weights-check": _run_weights_check,
-    "basis-check": _run_basis_check,
-    "cov-decay": _run_cov_decay,
-    "clt": _run_clt,
-    "mw": _run_mw,
-    "facts": _run_facts,
-    "halfplane-decay": _run_halfplane_decay,
-    "envelope-check": _run_envelope_check,
-    "support-probe": _run_support_probe,
+_STACK = ("growth", "d_max", "L", "alpha", "p_exp", "depth")
+
+# experiment -> (runner, the fields it reads): the only per-experiment
+# parameter list; a runner gets these fields plus the execution fields
+_SCHEMAS = {
+    "weights-check": (_run_weights_check, ("growth", "d_max", "L", "alpha")),
+    "basis-check": (_run_basis_check, ("growth", "d_max", "L")),
+    "cov-decay": (_run_cov_decay, (*_STACK, "lags", "exact", "functional", "R", "seed")),
+    "clt": (_run_clt, (*_STACK, "functional", "N", "R", "seed")),
+    "mw": (_run_mw, (*_STACK, "n_grid")),
+    "facts": (_run_facts, ("alpha", "n_grid")),
+    "halfplane-decay": (_run_halfplane_decay, ("p", "k_grid")),
+    "envelope-check": (_run_envelope_check, ("p", "kmax_list")),
+    "support-probe": (_run_support_probe, (*_STACK, "delta", "R", "seed")),
 }
 
 
 def run_experiment(experiment: str, params: dict) -> int:
     replay = canonical_manifest(experiment, params)
     digest = hashlib.sha256(replay.encode()).hexdigest()
-    results, header, rows, passed = _RUNNERS[experiment](params)
-
     out = Path(params["out"])
     out.mkdir(parents=True, exist_ok=True)
+    results, header, rows, passed = _SCHEMAS[experiment][0](params)
+
     (out / "manifest.replay").write_text(replay)
     report = {
         "experiment": experiment,
         "manifest_hash": digest,
-        "params": {
-            k: v
-            for k, v in sorted(params.items())
-            if v is not None and k not in _NON_IDENTITY
-        },
+        "params": _identity(params),
         "results": results,
         "passed": passed,
     }
@@ -457,25 +447,22 @@ def main(argv: list[str] | None = None) -> int:
         prog="shiftmix", description="deterministic mixing and CLT experiments"
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name, (_, fields) in _SCHEMAS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--manifest", default=None)
-        for field, (typ, _) in _FIELDS.items():
+        for field in (*fields, *_EXECUTION):
+            typ = _FIELDS[field][0]
             flag = "--" + field.replace("_", "-")
-            if typ is bool:
+            if typ is bool:  # the one flag pair --exact / --mc
                 group = sp.add_mutually_exclusive_group()
                 group.add_argument(flag, dest=field, action="store_true", default=None)
-                group.add_argument(
-                    "--mc" if field == "exact" else f"--no-{field}",
-                    dest=field,
-                    action="store_false",
-                    default=None,
-                )
+                group.add_argument("--mc", dest=field, action="store_false", default=None)
             else:
                 sp.add_argument(flag, dest=field, type=typ, default=None)
 
     args = parser.parse_args(argv)
-    params = {k: v for k, (t, v) in _FIELDS.items()}
+    accepted = (*_SCHEMAS[args.experiment][1], *_EXECUTION)
+    params = {k: _FIELDS[k][1] for k in accepted}
     try:
         if args.manifest:
             loaded = parse_manifest(args.manifest)
@@ -484,12 +471,15 @@ def main(argv: list[str] | None = None) -> int:
                 raise ManifestError(
                     f"manifest experiment {exp!r} does not match subcommand {args.experiment!r}"
                 )
+            foreign = sorted(set(loaded) - set(accepted))
+            if foreign:
+                raise ManifestError(f"{args.manifest}: {exp} does not read field {foreign[0]!r}")
             params.update(loaded)
     except (ManifestError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for field in _FIELDS:
-        v = getattr(args, field, None)
+    for field in accepted:
+        v = getattr(args, field)
         if v is not None:
             params[field] = v
     try:

@@ -283,6 +283,8 @@ def clt_experiment(
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas for a usable distribution test")
+    if n_steps < 1:
+        raise ValueError("need at least one Birkhoff step")
     if model.alpha <= 1.0 and not exploratory:
         raise ValueError("decay exponent at most 1; pass exploratory=True to force")
     mu = exact_mean(obs, model, w)

@@ -196,8 +196,10 @@ def support_probe(
     stay below delta, then multiply the prescribed symbol masses by the
     truncated beta-square product of the block schedule.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
+    if samples < 1:
+        raise ValueError("need at least one sample")
 
     # match target coordinates to seed indices, exactly
     support: dict[int, int] = {}

@@ -128,6 +128,10 @@ def canonical_shift(
     summability of ``W_m**-p_exp``, without which no invariant measure with
     full support exists for this family.
     """
+    if not (np.isfinite(alpha) and np.isfinite(p_exp)):
+        raise ValueError(f"alpha and p_exp must be finite, got {alpha!r} and {p_exp!r}")
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     if alpha * p_exp <= 1.0:
         raise ValueError(
             f"sum of W_n^(-p) diverges (alpha*p_exp = {alpha * p_exp:.3g} <= 1); "

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import shiftmix as sm
+
+# property tests draw the same examples on every run, with no example store
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,14 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shiftmix.cli import ManifestError, _parse_grid, main, parse_manifest
+from shiftmix.cli import _FIELDS, _SCHEMAS, ManifestError, _parse_grid, main, parse_manifest
+from shiftmix.weights import GROWTH_FUNCTIONS
+
+MONO = "mono:(0,0)=1;(0,1)=1"
 
 
 def run(args):
@@ -13,7 +19,7 @@ class TestManifest:
     def test_roundtrip_via_file(self, tmp_path):
         m = tmp_path / "m.txt"
         m.write_text(
-            "# comment\nexperiment = basis-check\nseed = 3\nL = 40\ntolerance = 1e-10\n"
+            "# comment\nexperiment = basis-check\nseed = 3\nL = 40\nd_max = 3\n"
         )
         vals = parse_manifest(str(m))
         assert vals["seed"] == 3
@@ -99,7 +105,9 @@ class TestArtifacts:
         out = tmp_path / "taken"
         out.write_text("")
         assert run(["basis-check", "--out", out]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
     def test_replay_manifest_reproduces_run(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -138,3 +146,138 @@ class TestArtifacts:
         assert rows[1] == "lag,cov,se,exact"
         first = rows[2].split(",")
         assert len(first) == 4 and all(field for field in first)
+
+
+# one small run per subcommand; no depth flag, so depth stays unset
+SMALL_RUNS = {
+    "weights-check": [],
+    "basis-check": [],
+    "cov-decay": ["--mc", "--R", 2000, "--lags", "1:16"],
+    "clt": ["--N", 16, "--R", 100],
+    "mw": ["--n-grid", "4:64"],
+    "facts": ["--n-grid", "4:64"],
+    "halfplane-decay": ["--k-grid", "8:32"],
+    "envelope-check": ["--kmax-list", "4,8"],
+    "support-probe": ["--R", 50],
+}
+
+
+class TestSchemas:
+    @pytest.mark.parametrize("experiment", list(_SCHEMAS))
+    def test_manifest_names_exactly_the_schema(self, experiment, tmp_path):
+        out = tmp_path / "o"
+        assert run([experiment, *SMALL_RUNS[experiment], "--out", out]) in (0, 1)
+        lines = (out / "manifest.replay").read_text().splitlines()
+        assert lines[0] == f"experiment = {experiment}"
+        keys = {line.split(" = ")[0] for line in lines[1:]}
+        assert keys == {f for f in _SCHEMAS[experiment][1] if _FIELDS[f][1] is not None}
+        assert set(json.loads((out / "report.json").read_text())["params"]) == keys
+
+    def test_flag_outside_the_schema_is_refused(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["support-probe", "--lags", "1:4", "--out", tmp_path / "o"])
+        assert exc.value.code == 2
+
+    def test_manifest_field_outside_the_schema_exits_two(self, tmp_path, capsys):
+        m = tmp_path / "m.txt"
+        m.write_text("experiment = support-probe\nR = 100\nlags = 1:4\n")
+        assert run(["support-probe", "--manifest", m, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'lags'" in err and "support-probe" in err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clt", "--depth", -1, "--N", 8, "--R", 100],
+        ["support-probe", "--depth", -1, "--R", 10],
+        ["mw", "--depth", -1, "--n-grid", "4:8"],
+        ["cov-decay", "--mc", "--depth", -1, "--R", 100, "--lags", "1:4"],
+        ["cov-decay", "--exact", "--depth", -1],
+        ["clt", "--functional", MONO, "--N", 0, "--R", 100],
+        ["weights-check", "--d-max", 0],
+        ["clt", "--p-exp", "nan", "--N", 8, "--R", 100],
+        ["clt", "--alpha", "nan", "--N", 8, "--R", 100],
+        ["support-probe", "--R", -5],
+        ["support-probe", "--delta", "nan", "--R", 10],
+        ["mw", "--n-grid", "1:1"],
+    ],
+)
+def test_unrunnable_input_exits_two(argv, tmp_path, capsys):
+    assert run([*argv, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _rarely(odd, usual):
+    """``odd`` on about one draw in eight, ``usual`` otherwise."""
+    return st.integers(0, 7).flatmap(lambda i: odd if i == 0 else usual)
+
+
+def _grid(hi):
+    doubling = st.tuples(st.integers(1, 16), st.integers(1, hi)).map(
+        lambda t: f"{t[0]}:{max(t)}"
+    )
+    points = st.lists(st.integers(1, hi), min_size=1, max_size=4)
+    malformed = st.tuples(st.integers(-1, hi), st.integers(-1, hi)).map(lambda t: f"{t[0]}:{t[1]}")
+    return doubling | points.map(lambda xs: ",".join(map(str, xs))) | malformed
+
+
+def _float(lo, hi):
+    return _rarely(st.just(math.nan), st.floats(lo, hi))
+
+
+# small values only: no draw asks for a large model, sample or worker count
+FLAG_VALUES = {
+    "growth": st.sampled_from(sorted(GROWTH_FUNCTIONS)),
+    "d_max": st.integers(0, 5),
+    "L": st.integers(1, 70),
+    "alpha": _float(0.3, 3.0),
+    "p_exp": _float(0.5, 3.0),
+    "depth": st.integers(-2, 40),
+    "lags": _grid(128),
+    "exact": st.booleans(),
+    "functional": st.sampled_from(["ones", "delta0", "lin:0=1,2=0.5", MONO, "normp:2"]),
+    "N": st.integers(-2, 64),
+    "R": st.integers(-2, 300),
+    "seed": st.integers(0, 2**32),
+    "n_grid": _grid(128),
+    "p": st.integers(2, 6),
+    "k_grid": _grid(128),
+    "kmax_list": st.lists(_rarely(st.integers(-1, 0), st.integers(1, 128)), min_size=1, max_size=3).map(
+        lambda xs: ",".join(map(str, xs))
+    ),
+    "delta": _float(-0.5, 2.0),
+}
+# drawn on every call, so that no default (R = 2000, lags up to 4096) sets the size
+SIZES = {"R", "N", "lags", "n_grid", "k_grid", "kmax_list"}
+
+
+@st.composite
+def cli_calls(draw):
+    experiment = draw(st.sampled_from(list(_SCHEMAS)))
+    fields = _SCHEMAS[experiment][1]
+    chosen = [f for f in fields if f in SIZES or draw(st.booleans())]
+    if experiment == "cov-decay" and draw(st.booleans()):
+        chosen.append("depth")  # exact curves default to depth 2^20
+    argv = [experiment]
+    for field in dict.fromkeys(chosen):
+        value = draw(FLAG_VALUES[field])
+        if field == "exact":
+            argv.append("--exact" if value else "--mc")
+        else:
+            argv.append(f"--{field.replace('_', '-')}={value}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_calls())
+def test_any_drawn_call_ends_with_an_exit_code(tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("call")
+    assert main([*argv, "--out", str(out / "w1")]) in (0, 1, 2)
+    if argv[0] == "clt" or (argv[0] == "cov-decay" and "--mc" in argv):
+        assert main([*argv, "--workers", "2", "--out", str(out / "w2")]) in (0, 1, 2)
+        for name in ("report.json", "data.csv", "manifest.replay"):
+            a, b = out / "w1" / name, out / "w2" / name
+            assert a.exists() == b.exists()
+            assert not a.exists() or a.read_bytes() == b.read_bytes()

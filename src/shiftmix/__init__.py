@@ -35,7 +35,6 @@ from .observables import (
     evaluate,
     exact_mean,
     taylor_growth_certificate,
-    composition_series_bound,
 )
 from .mixing import (
     empirical_covariance,

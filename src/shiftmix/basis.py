@@ -34,17 +34,6 @@ class TriangularBasis:
     off: np.ndarray
     l_max: int
 
-    def value(self, l: int, u: int) -> float:
-        if l == 0:
-            return 1.0
-        if not 1 <= l <= self.l_max:
-            raise ValueError(f"basis index {l} outside [0, {self.l_max}]")
-        if u < l:
-            return 0.0
-        if u == l:
-            return float(self.diag[l - 1])
-        return float(self.off[l - 1])
-
     def value_row(self, l: int) -> np.ndarray:
         """Values over u = 1..L as an array."""
         L = self.weights.length

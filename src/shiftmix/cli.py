@@ -146,12 +146,8 @@ def _pick_functional(name: str, depth: int) -> observables.Observable:
 
 
 def _run_weights_check(params):
-    if params["d_max"] < 1:
-        raise ValueError("weights-check needs d_max >= 1 for the amplitude caps")
     chain, w = _build_weights(params)
-    # the block schedule reads only alpha of the model
-    model = shift.canonical_shift(params["alpha"], chain=chain)
-    schedule = weights.build_block_schedule(model, w, chain, levels=w.length)
+    schedule = weights.build_block_schedule(params["alpha"], w, chain, levels=w.length)
     report = weights.check_weight_conditions(w, chain, k_max=20, schedule=schedule)
     beta_sq = math.exp(schedule.log_beta_sq_sum)
     results = {

@@ -48,10 +48,6 @@ class TensorIndex:
         if any(b <= a for a, b in zip(self.positions, self.positions[1:])):
             raise ValueError("positions must be strictly increasing")
 
-    @property
-    def arity(self) -> int:
-        return len(self.levels)
-
 
 @dataclass(frozen=True)
 class FourierTable:
@@ -66,14 +62,6 @@ class FourierTable:
     level_factors: np.ndarray
     depth_factors: np.ndarray
     weight_probs: np.ndarray
-
-    def coefficient(self, index: TensorIndex) -> float:
-        if index.arity != 1:
-            return 0.0
-        (l,), (j,) = index.levels, index.positions
-        if l > len(self.level_factors) or j > 0 or -j >= len(self.depth_factors):
-            return 0.0
-        return float(self.level_factors[l - 1] * self.depth_factors[-j])
 
 
 def linear_fourier_table(

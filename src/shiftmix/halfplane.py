@@ -34,39 +34,35 @@ __all__ = [
     "envelope_sum_check",
     "related_indices",
     "partner_count",
-    "comparability_bounds",
 ]
+
+_WINDOW_PAD = 50.0  # finite quadrature window beyond the outermost breakpoint
 
 
 @dataclass(frozen=True)
 class DecayedFunction:
-    """Boundary profile ``scale / (1 + (x + offset)^2)^decay_power``."""
+    """Boundary profile ``1 / (1 + (x + offset)^2)^decay_power``."""
 
     decay_power: int
-    scale: float = 1.0
     offset: float = 0.0
 
     def __call__(self, x: float) -> float:
         u = x + self.offset
-        return self.scale / (1.0 + u * u) ** self.decay_power
+        return 1.0 / (1.0 + u * u) ** self.decay_power
 
     @property
     def peak(self) -> float:
         return -self.offset
 
 
-def translate(f, k: float):
+def translate(f: DecayedFunction, k: float) -> DecayedFunction:
     """Shift the argument by k; composition adds offsets."""
-    if isinstance(f, DecayedFunction):
-        return DecayedFunction(decay_power=f.decay_power, scale=f.scale, offset=f.offset + k)
-    return lambda x: f(x + k)
+    return DecayedFunction(decay_power=f.decay_power, offset=f.offset + k)
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     tolerance: float = 1e-10
-    window_pad: float = 50.0
-    subdivision_limit: int = 800
 
 
 @dataclass(frozen=True)
@@ -84,15 +80,15 @@ def h2_norm(
 
     Decayed profiles bring their peak as a breakpoint automatically; pass
     explicit breakpoints for other integrands with narrow features.  The
-    window spans every breakpoint plus the configured pad; outside it the
+    window spans every breakpoint plus a fixed pad; outside it the
     integrand is handled by dedicated infinite-range quadrature.  Raises if
     the combined error estimate cannot meet the tolerance.
     """
     if config is None:
         config = QuadratureConfig()
     pts = sorted(set(breakpoints) | ({f.peak} if isinstance(f, DecayedFunction) else set()) | {0.0})
-    lo = min(pts) - config.window_pad
-    hi = max(pts) + config.window_pad
+    lo = min(pts) - _WINDOW_PAD
+    hi = max(pts) + _WINDOW_PAD
 
     def integrand(t: float) -> float:
         v = f(t)
@@ -100,7 +96,7 @@ def h2_norm(
 
     inner = [p for p in pts if lo < p < hi]
     v1, e1 = quad(
-        integrand, lo, hi, points=inner, limit=config.subdivision_limit,
+        integrand, lo, hi, points=inner, limit=800,
         epsabs=config.tolerance / 4.0, epsrel=1e-12,
     )
     v2, e2 = quad(integrand, -np.inf, lo, limit=200, epsabs=config.tolerance / 4.0)
@@ -186,17 +182,6 @@ def partner_count(k: int, limit: int) -> int:
     the 4 k^{1/4} budget everywhere up to 64.
     """
     return len(related_indices(k, limit)) - 1
-
-
-def comparability_bounds(limit: int, start: int = 2) -> float:
-    """Smallest C with overlap implying C^-1 k <= j <= C k over [start, limit]."""
-    worst = 1.0
-    for k in range(start, limit + 1):
-        for j in related_indices(k, limit):
-            if j < start:
-                continue
-            worst = max(worst, k / j, j / k)
-    return worst
 
 
 @dataclass(frozen=True)

@@ -224,7 +224,6 @@ def log_lag_ratio_band(report: DecayReport) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CltReport:
-    n_steps: int
     replicas: int
     samples: np.ndarray
     ks_distance: float
@@ -270,23 +269,22 @@ def clt_experiment(
     n_steps: int,
     replicas: int,
     state: SamplerState,
-    exploratory: bool = False,
     workers: int = 1,
 ) -> CltReport:
     """Distribution of normalized Birkhoff sums over independent replicas.
 
-    The observable must be centered (exact mean zero).  The decay exponent
-    must exceed 1, the proven regime, unless the run is explicitly flagged
-    exploratory.  Each replica draws a fresh stream; for linear observables
-    the whole Birkhoff sum is one dot product against a precomputed kernel,
-    for the others one evaluation of every step's window at once.
+    The observable must be centered (exact mean zero), and the decay
+    exponent must exceed 1, the proven regime.  Each replica draws a fresh
+    stream; for linear observables the whole Birkhoff sum is one dot product
+    against a precomputed kernel, for the others one evaluation of every
+    step's window at once.
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas for a usable distribution test")
     if n_steps < 1:
         raise ValueError("need at least one Birkhoff step")
-    if model.alpha <= 1.0 and not exploratory:
-        raise ValueError("decay exponent at most 1; pass exploratory=True to force")
+    if model.alpha <= 1.0:
+        raise ValueError(f"clt needs alpha > 1, the proven regime; got alpha = {model.alpha!r}")
     mu = exact_mean(obs, model, w)
     if abs(mu) > 1e-9:
         raise ValueError(f"observable mean {mu!r} is not zero; center it first")
@@ -322,7 +320,6 @@ def clt_experiment(
 
     var_hat = float(values.var(ddof=1))
     common = dict(
-        n_steps=n_steps,
         replicas=replicas,
         samples=values,
         ks_limit=1.5 * 1.63 / math.sqrt(replicas),
@@ -464,10 +461,9 @@ class FactConstants:
         return int(np.argmax(self.c_stated)) < len(self.n_grid) - 1
 
 
-def _window_power_lhs(alpha: float, n: int, j_max: int | None = None) -> float:
+def _window_power_lhs(alpha: float, n: int) -> float:
     """sum_{j >= 0} (sum_{p < n} (1 + j + p)^-alpha)^2 by direct summation."""
-    if j_max is None:
-        j_max = max(200_000, 400 * n)
+    j_max = max(200_000, 400 * n)
     i = np.arange(1, j_max + n + 2, dtype=float)
     c = np.concatenate([[0.0], np.cumsum(i**-alpha)])
     j = np.arange(0, j_max + 1)
@@ -508,13 +504,14 @@ def window_tail_constants(alpha: float, n_grid) -> FactConstants:
     )
 
 
-def fact2_bruteforce(alpha: float, n: int, j_cut: int = 200) -> tuple[float, float]:
+def fact2_bruteforce(alpha: float, n: int) -> tuple[float, float]:
     """Brute-force check of the factored square expansion for arity 2.
 
     Returns (lhs, rhs) where lhs sums over leading positions below -n and a
-    truncated second position, and rhs is the factored bound with its
-    single-position sum enlarged to cover the truncation shift.
+    second position, both cut at distance 200, and rhs is the factored bound
+    with its single-position sum enlarged to cover the truncation shift.
     """
+    j_cut = 200
     j1 = np.arange(-n - j_cut, -n)
     j2 = np.arange(-j_cut, j_cut + 1)
     p = np.arange(0, n)

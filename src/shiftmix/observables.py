@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .shift import LpVector, ShiftModel, row_norms
 from .weights import GrowthChain, SymbolWeights
@@ -33,7 +32,6 @@ __all__ = [
     "with_exact_mean_subtracted",
     "GrowthNormCertificate",
     "taylor_growth_certificate",
-    "composition_series_bound",
 ]
 
 
@@ -256,51 +254,3 @@ def taylor_growth_certificate(
         value = max(value, u * factor)
     return GrowthNormCertificate(per_degree=per, value=value, exact=exact)
 
-
-def composition_series_bound(
-    poly_degree: int,
-    poly_bound: float,
-    series_amp: float,
-    series_rate: float,
-    series_damping: float,
-    k_max: int = 64,
-) -> np.ndarray:
-    """Bound sequence for composing a damped power series with a polynomial.
-
-    For a series ``sum a_n x^n / (n!)^damping`` with ``|a_n| <= amp * rate^n``
-    composed with a degree-d polynomial bounded by ``B ||x||^k`` per
-    homogeneous part, the degree-k piece of the composition satisfies
-
-        bound_k = amp * k^d * (B * rate)^k * sum_j (B * rate)^j / ((floor(k/d) + j)!)^damping
-
-    and the returned value is ``bound_k * k! * log(k + e)^k``, which must
-    stay bounded in k whenever ``damping > poly_degree``.  Everything is
-    evaluated in log space with the series cut once terms stop mattering.
-    """
-    d, B = poly_degree, poly_bound
-    A, tau, sigma = series_amp, series_rate, series_damping
-    if sigma <= d:
-        raise ValueError("series damping must exceed the polynomial degree")
-    if d < 1 or min(A, tau, B) <= 0:
-        raise ValueError("need d >= 1 and positive amp, rate, bound")
-    bt = max(B * tau, 1.0)
-    log_bt = math.log(bt)
-
-    out = np.empty(k_max + 1)
-    for k in range(0, k_max + 1):
-        base = math.floor(k / d)
-        logs = []
-        j = 0
-        best = -math.inf
-        while True:
-            t = j * log_bt - sigma * gammaln(base + j + 1)
-            logs.append(t)
-            best = max(best, t)
-            if t < best - 60.0 and j > 4:
-                break
-            j += 1
-        log_s = float(logsumexp(logs))
-        log_q = math.log(A) + (d * math.log(k) if k > 0 else 0.0) + k * log_bt + log_s
-        log_b = log_q + gammaln(k + 1) + k * math.log(math.log(k + math.e))
-        out[k] = math.exp(min(log_b, 700.0))
-    return out

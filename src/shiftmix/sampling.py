@@ -79,9 +79,9 @@ class SymbolWindow:
         if len(self.symbols) != self.hi - self.lo + 1:
             raise ValueError("symbol count does not match window length")
 
-    def shifted(self, steps: int = 1) -> "SymbolWindow":
-        """The forward-shift image: index k now reads the old k - steps."""
-        return SymbolWindow(self.lo + steps, self.hi + steps, self.symbols)
+    def shifted(self) -> "SymbolWindow":
+        """The forward-shift image: index k now reads the old k - 1."""
+        return SymbolWindow(self.lo + 1, self.hi + 1, self.symbols)
 
 
 def _thresholds(w: SymbolWeights) -> np.ndarray:
@@ -217,7 +217,7 @@ def support_probe(
     level = 1
     while 2.0**-level >= delta:
         level += 1
-    schedule = build_block_schedule(model, w, model.chain, levels=max(level + 12, 16))
+    schedule = build_block_schedule(model.alpha, w, model.chain, levels=max(level + 12, 16))
     while level < len(schedule.bounds) and schedule.bounds[level - 1] <= max_depth:
         level += 1
     if schedule.bounds[level - 1] <= max_depth:

@@ -13,7 +13,6 @@ demand by a single division per entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -104,25 +103,14 @@ class ShiftModel:
             raise ValueError(f"seed index {n} outside [1, {self.n_seeds}]")
         return float(self.seed_values[n - 1])
 
-    def weight_at(self, m: int) -> float:
-        """W_m, analytic beyond the truncation."""
-        if m <= self.depth:
-            return float(self.W[m])
-        return float(max(m, 1)) ** self.alpha
-
-    def section_norm_envelope(self, symbol: int, depth: int) -> float:
-        """Upper bound for a section norm at the given depth."""
-        return self.chain.inner_at(symbol) / self.weight_at(depth)
-
 
 def canonical_shift(
     alpha: float,
     p_exp: float = 2.0,
     depth: int = 256,
     chain: GrowthChain | None = None,
-    n_seeds: int = 64,
 ) -> ShiftModel:
-    """Build the canonical model with ``W_m = m**alpha``.
+    """Build the canonical model with ``W_m = m**alpha`` and 64 seeds.
 
     Requires ``alpha > 1/2`` and ``alpha * p_exp > 1``; the latter is the
     summability of ``W_m**-p_exp``, without which no invariant measure with
@@ -145,7 +133,7 @@ def canonical_shift(
         chain = build_growth_chain("log", 128)
     W = np.arange(0, depth + 1, dtype=float) ** alpha
     W[0] = 1.0
-    seeds = enumerate_seed_values(chain, n_seeds, p_exp)
+    seeds = enumerate_seed_values(chain, 64, p_exp)
     return ShiftModel(
         alpha=alpha, p_exp=p_exp, depth=depth, W=W, seed_values=seeds, chain=chain
     )
@@ -165,34 +153,11 @@ class LpVector:
     model: ShiftModel
     tail_bound: float = 0.0
 
-    def __len__(self) -> int:
-        return len(self.scaled)
-
     def coords(self) -> np.ndarray:
         return self.scaled / self.model.W[: len(self.scaled)]
 
-    def coord(self, m: int) -> float:
-        if m >= len(self.scaled):
-            return 0.0
-        return float(self.scaled[m] / self.model.W[m])
-
     def norm(self) -> float:
         return float(row_norms(self.model, self.scaled[None, :])[0])
-
-    @staticmethod
-    def from_coords(model: ShiftModel, coords: Sequence[float]) -> "LpVector":
-        y = np.asarray(coords, dtype=float)
-        if len(y) > model.depth + 1:
-            raise ValueError("coordinate list longer than the model truncation")
-        return LpVector(scaled=y * model.W[: len(y)], model=model)
-
-    @staticmethod
-    def basis_vector(model: ShiftModel, m: int) -> "LpVector":
-        if m > model.depth:
-            raise ValueError("coordinate beyond truncation")
-        z = np.zeros(m + 1)
-        z[m] = model.W[m]
-        return LpVector(scaled=z, model=model)
 
 
 def row_norms(model: ShiftModel, scaled: np.ndarray) -> np.ndarray:

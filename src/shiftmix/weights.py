@@ -23,8 +23,8 @@ alongside them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -51,6 +51,7 @@ GROWTH_FUNCTIONS: dict[str, Callable[[int], float]] = {
 }
 
 _MIN_LOG = math.log(5e-324)  # smallest positive subnormal double
+_INT64_END = 2**63  # first integer past the int64 range of block boundaries
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,6 @@ class GrowthChain:
 
     def outer_at(self, k: int) -> float:
         return self._at(self.outer, k)
-
-    def middle_at(self, k: int) -> float:
-        return self._at(self.middle, k)
 
     def inner_at(self, k: int) -> float:
         return self._at(self.inner, k)
@@ -168,18 +166,17 @@ class SymbolWeights:
     ``tail[l-1]`` is ``q_l = sum_{m >= l} p_m`` computed by backward
     summation, so ``q_l = p_l + q_{l+1}`` holds exactly in floating point.
     Mass beyond index L of the underlying infinite recursion is folded into
-    symbol L, hence ``q_{L+1} = 0``.
+    symbol L, hence ``q_{L+1} = 0``.  ``log_p``, ``tail`` and ``length`` are
+    derived from ``p``.
     """
 
     p: np.ndarray
-    log_p: np.ndarray
-    tail: np.ndarray
-    length: int
     d_max: int
+    log_p: np.ndarray = field(init=False)
+    tail: np.ndarray = field(init=False)
+    length: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.p) != self.length or len(self.tail) != self.length:
-            raise ValueError("inconsistent array lengths")
         if np.any(self.p <= 0.0):
             raise ValueError("probabilities must be positive")
         if np.any(np.diff(self.p) >= 0):
@@ -187,6 +184,9 @@ class SymbolWeights:
         total = math.fsum(self.p.tolist())
         if abs(total - 1.0) > 1e-15:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "log_p", np.log(self.p))
+        object.__setattr__(self, "tail", np.cumsum(self.p[::-1])[::-1])
+        object.__setattr__(self, "length", len(self.p))
 
     def suffix(self, l: int) -> float:
         """q_l for 1 <= l <= length + 1 (q_{L+1} = 0, its mass is folded into p_L)."""
@@ -197,16 +197,6 @@ class SymbolWeights:
     def tail_ratios(self) -> np.ndarray:
         """sum_{m>l} p_m / p_l for l = 1..L-1."""
         return (self.tail[1:] ) / self.p[:-1]
-
-    @staticmethod
-    def from_probabilities(p: Sequence[float], d_max: int = 0) -> "SymbolWeights":
-        """Wrap an explicit probability vector (test weights, etc.)."""
-        arr = np.asarray(p, dtype=float)
-        arr = arr / math.fsum(arr.tolist())
-        tail = np.cumsum(arr[::-1])[::-1]
-        return SymbolWeights(
-            p=arr, log_p=np.log(arr), tail=tail, length=len(arr), d_max=d_max
-        )
 
 
 # Ratio caps for the weight recursion.  The first step is gentler so the
@@ -254,10 +244,7 @@ def build_symbol_weights(chain: GrowthChain, d_max: int = 3, length: int = 40) -
         )
     p = np.exp(u)
     p /= math.fsum(p.tolist())
-    tail = np.cumsum(p[::-1])[::-1]
-    return SymbolWeights(
-        p=p, log_p=np.log(p), tail=tail, length=length, d_max=d_max
-    )
+    return SymbolWeights(p=p, d_max=d_max)
 
 
 @dataclass(frozen=True)
@@ -266,7 +253,6 @@ class ConditionFit:
 
     name: str
     constant: float
-    worst_pair: tuple[int, int]  # (l, k); k = 0 when the condition has no k
     per_k: np.ndarray | None
     bounded: bool
 
@@ -274,10 +260,10 @@ class ConditionFit:
 @dataclass(frozen=True)
 class ConditionReport:
     tail_domination: ConditionFit
-    sqrt_moment: ConditionFit | None
-    moment: ConditionFit | None
-    amplitude_caps: ConditionFit | None
-    block_sum: dict[int, dict] | None
+    sqrt_moment: ConditionFit
+    moment: ConditionFit
+    amplitude_caps: ConditionFit
+    block_sum: dict[int, dict]
 
 
 def _moment_fit(
@@ -289,8 +275,6 @@ def _moment_fit(
     weights spanning hundreds of orders of magnitude stay comparable.
     """
     per_k = np.empty(k_max)
-    best = -math.inf
-    worst = (0, 0)
     for k in range(1, k_max + 1):
         term = logs + k * log_in[:length]
         # suffix logsumexp, smallest terms first
@@ -301,12 +285,7 @@ def _moment_fit(
             suffix[i] = acc
         k_pow = k * log_in[k - 1]
         denom = logs + np.maximum(k_pow, k * log_in[:length])
-        ratios = suffix - denom
-        i = int(np.argmax(ratios))
-        per_k[k - 1] = ratios[i]
-        if ratios[i] > best:
-            best = ratios[i]
-            worst = (i + 1, k)
+        per_k[k - 1] = np.max(suffix - denom)
     # growth detector: a healthy sequence keeps the fitted constant near its
     # k = 1 value; a failing one climbs orders of magnitude before the
     # truncation hides the divergence behind the k^k denominator
@@ -314,8 +293,7 @@ def _moment_fit(
     bounded = bool(np.max(per_k) <= baseline + math.log(2.0))
     return ConditionFit(
         name=name,
-        constant=float(math.exp(best)),
-        worst_pair=worst,
+        constant=float(math.exp(np.max(per_k))),
         per_k=np.exp(per_k),
         bounded=bounded,
     )
@@ -324,73 +302,66 @@ def _moment_fit(
 def check_weight_conditions(
     w: SymbolWeights,
     chain: GrowthChain,
-    k_max: int = 20,
-    schedule: "BlockSchedule | None" = None,
+    k_max: int,
+    schedule: BlockSchedule,
 ) -> ConditionReport:
     """Fit the smallest constants for the weight summability conditions.
 
     Reported, never raised: an unbounded constant shows up as ``bounded
-    = False`` (the fitted value keeps growing along k).  With a schedule the
-    block-sum conditions ``sum (N_{l+1}-N_l) p_l^{1/4d} < inf`` are
+    = False`` (the fitted value keeps growing along k).  The block-sum
+    conditions ``sum (N_{l+1}-N_l) p_l^{1/4d} < inf`` of the schedule are
     evaluated through their partial sums for ``d <= w.d_max``.
     """
+    if k_max < 1:
+        raise ValueError(f"need k_max >= 1 for the moment conditions, got {k_max}")
+    if w.d_max < 1:
+        raise ValueError(f"need d_max >= 1 for the amplitude caps, got {w.d_max}")
+    if len(schedule.bounds) < 2:
+        raise ValueError("need a block schedule of at least two levels")
     if chain.k_max < max(w.length, k_max):
         raise ValueError("growth chain too short for the requested check range")
     log_in = np.log(chain.inner)
     L = w.length
 
     ratios = w.tail_ratios()
-    l_worst = int(np.argmax(ratios)) + 1
     tail_fit = ConditionFit(
         name="tail_domination",
         constant=float(ratios.max()),
-        worst_pair=(l_worst, 0),
         per_k=None,
         bounded=bool(ratios.max() <= 0.5),
     )
 
-    sqrt_fit = moment_fit = None
-    if k_max >= 1:
-        sqrt_fit = _moment_fit("sqrt_moment", 0.5 * w.log_p, log_in, L, k_max)
-        moment_fit = _moment_fit("moment", w.log_p, log_in, L, k_max)
+    amp = max(
+        2.0 * d * log_in[l - 1] + 0.5 * w.log_p[l - 1]
+        for d in range(1, w.d_max + 1)
+        for l in range(2 * d, L + 1)
+    )
+    amp_fit = ConditionFit(
+        name="amplitude_caps",
+        constant=float(math.exp(amp)),
+        per_k=None,
+        bounded=bool(amp <= 0.0),
+    )
 
-    amp_fit = None
-    if w.d_max >= 1:
-        best, worst = -math.inf, (0, 0)
-        for d in range(1, w.d_max + 1):
-            for l in range(2 * d, L + 1):
-                v = 2.0 * d * log_in[l - 1] + 0.5 * w.log_p[l - 1]
-                if v > best:
-                    best, worst = v, (l, d)
-        amp_fit = ConditionFit(
-            name="amplitude_caps",
-            constant=float(math.exp(best)),
-            worst_pair=worst,
-            per_k=None,
-            bounded=bool(best <= 0.0),
-        )
-
-    block = None
-    if schedule is not None and len(schedule.bounds) >= 2:
-        block = {}
-        gaps = np.diff(schedule.bounds).astype(float)
-        n_terms = min(len(gaps), L)
-        for d in range(1, max(w.d_max, 1) + 1):
-            terms = gaps[:n_terms] * np.exp(w.log_p[:n_terms] / (4.0 * d))
-            partial = np.cumsum(terms)
-            total = float(partial[-1])
-            last_quarter = float(terms[-max(1, n_terms // 4):].sum())
-            block[d] = {
-                "partial_sum": total,
-                "last_term": float(terms[-1]),
-                "tail_fraction": last_quarter / total if total > 0 else 0.0,
-                "converged": bool(terms[-1] <= 1e-6 * total),
-            }
+    block = {}
+    gaps = np.diff(schedule.bounds).astype(float)
+    n_terms = min(len(gaps), L)
+    for d in range(1, w.d_max + 1):
+        terms = gaps[:n_terms] * np.exp(w.log_p[:n_terms] / (4.0 * d))
+        partial = np.cumsum(terms)
+        total = float(partial[-1])
+        last_quarter = float(terms[-max(1, n_terms // 4):].sum())
+        block[d] = {
+            "partial_sum": total,
+            "last_term": float(terms[-1]),
+            "tail_fraction": last_quarter / total if total > 0 else 0.0,
+            "converged": bool(terms[-1] <= 1e-6 * total),
+        }
 
     return ConditionReport(
         tail_domination=tail_fit,
-        sqrt_moment=sqrt_fit,
-        moment=moment_fit,
+        sqrt_moment=_moment_fit("sqrt_moment", 0.5 * w.log_p, log_in, L, k_max),
+        moment=_moment_fit("moment", w.log_p, log_in, L, k_max),
         amplitude_caps=amp_fit,
         block_sum=block,
     )
@@ -401,12 +372,8 @@ class BlockSchedule:
     """Increasing block boundaries with convex gaps and the beta certificate."""
 
     bounds: np.ndarray  # N_1..N_R, int64
-    beta: np.ndarray  # beta_l for l = 1..R-1
     gaps_convex: bool
     log_beta_sq_sum: float
-
-    def __len__(self) -> int:
-        return len(self.bounds)
 
     def log_beta_sq_tail(self, from_level: int, weights: SymbolWeights) -> float:
         """2 * sum_{l >= from_level} gap_l * log(sigma_l) over the truncation."""
@@ -420,38 +387,30 @@ class BlockSchedule:
 
 
 def _schedule_from_bounds(bounds: np.ndarray, w: SymbolWeights) -> BlockSchedule:
-    sigma = np.cumsum(w.p)
-    log_sum = 0.0
-    beta = np.empty(max(len(bounds) - 1, 0))
-    for l in range(1, len(bounds)):
-        gap = int(bounds[l] - bounds[l - 1])
-        s = float(sigma[min(l, w.length) - 1])
-        log_beta = gap * math.log(s)
-        beta[l - 1] = math.exp(log_beta)
-        log_sum += 2.0 * log_beta
     gaps = np.diff(bounds)
     convex = bool(np.all(np.diff(gaps) > 0)) if len(gaps) >= 2 else True
-    return BlockSchedule(
-        bounds=bounds, beta=beta, gaps_convex=convex, log_beta_sq_sum=log_sum
-    )
+    schedule = BlockSchedule(bounds=bounds, gaps_convex=convex, log_beta_sq_sum=0.0)
+    return replace(schedule, log_beta_sq_sum=schedule.log_beta_sq_tail(1, w))
 
 
-def build_block_schedule(model, w: SymbolWeights, chain: GrowthChain, levels: int) -> BlockSchedule:
+def build_block_schedule(alpha: float, w: SymbolWeights, chain: GrowthChain, levels: int) -> BlockSchedule:
     """Choose block boundaries so worst-case orbit tails stay below 2^-n.
 
-    The model only enters through its decay envelope: section norms are
+    The model enters only through its decay exponent alpha: section norms are
     bounded by ``inner(symbol) / N^alpha`` past depth N, and forward orbits
     of the seed family vanish.  Level l gets the smallest boundary with
     integral tail bound ``inner(l) * N^(1-alpha) / (alpha-1) <= 2^(-l-1)``;
     summing the geometric budget over ``l >= n`` then certifies every level
     n at once.  Gap convexity is enforced afterwards by inflation, which
-    only shrinks the tails further.
+    only shrinks the tails further.  Boundaries are exact integers; one past
+    the int64 range is an error.
     """
     if levels == 0:
         return _schedule_from_bounds(np.empty(0, dtype=np.int64), w)
     if levels < 0:
         raise ValueError("levels must be nonnegative")
-    alpha = float(model.alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     if alpha <= 1.0:
         raise ValueError(
             f"orbit-norm envelope N^(-{alpha}) is not summable; cannot certify tails"
@@ -459,15 +418,23 @@ def build_block_schedule(model, w: SymbolWeights, chain: GrowthChain, levels: in
     if chain.k_max < levels:
         raise ValueError("growth chain too short for the requested level count")
 
-    bounds = np.empty(levels, dtype=np.int64)
+    bounds: list[int] = []
     for l in range(1, levels + 1):
-        need = (chain.inner_at(l) * 2.0 ** (l + 1) / (alpha - 1.0)) ** (1.0 / (alpha - 1.0))
-        n_min = max(int(math.ceil(need)), l)
+        need = chain.inner_at(l) * 2.0 ** (l + 1) / (alpha - 1.0)
+        try:
+            n_min = max(math.ceil(need ** (1.0 / (alpha - 1.0))), l)
+        except OverflowError:  # past the float range, so past int64 too
+            n_min = _INT64_END
         if l == 1:
-            bounds[0] = n_min
+            bound = n_min
         elif l == 2:
-            bounds[1] = max(n_min, bounds[0] + 1)
+            bound = max(n_min, bounds[0] + 1)
         else:
-            bounds[l - 1] = max(n_min, bounds[l - 2] + (bounds[l - 2] - bounds[l - 3]) + 1)
-    return _schedule_from_bounds(bounds, w)
+            bound = max(n_min, bounds[-1] + (bounds[-1] - bounds[-2]) + 1)
+        if bound >= _INT64_END:
+            raise ValueError(
+                f"block boundary of level {l} passes the int64 range at alpha = {alpha!r}"
+            )
+        bounds.append(bound)
+    return _schedule_from_bounds(np.array(bounds, dtype=np.int64), w)
 

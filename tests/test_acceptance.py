@@ -58,7 +58,7 @@ def test_criterion_02_conjugacy(model2, weights40):
 
 
 def test_criterion_03_weight_conditions(weights40, chain, model2):
-    sched = build_block_schedule(model2, weights40, chain, levels=weights40.length)
+    sched = build_block_schedule(model2.alpha, weights40, chain, levels=weights40.length)
     rep = check_weight_conditions(weights40, chain, k_max=20, schedule=sched)
     assert rep.tail_domination.constant <= 0.5
     assert rep.sqrt_moment.constant <= 4.0

@@ -10,23 +10,26 @@ from shiftmix.weights import SymbolWeights
 
 
 def geometric_weights(length: int) -> SymbolWeights:
-    return SymbolWeights.from_probabilities([2.0**-l for l in range(1, length + 1)])
+    p = 2.0 ** -np.arange(1, length + 1)
+    return SymbolWeights(p=p / math.fsum(p.tolist()), d_max=0)
 
 
 class TestClosedForm:
     def test_geometric_first_function_is_sign_split(self):
         b = build_basis(geometric_weights(40))
-        assert b.value(1, 1) == pytest.approx(1.0, abs=1e-9)
-        assert b.value(1, 2) == pytest.approx(-1.0, abs=1e-9)
-        assert b.value(1, 17) == b.value(1, 2)
+        row = b.value_row(1)  # values at u = 1..L
+        assert row[0] == pytest.approx(1.0, abs=1e-9)
+        assert row[1] == pytest.approx(-1.0, abs=1e-9)
+        assert row[16] == row[1]
 
     def test_constant_has_unit_norm(self, basis40, weights40):
         assert math.fsum((weights40.p * 1.0).tolist()) == pytest.approx(1.0, abs=1e-15)
 
     def test_triangular_support(self, basis40):
-        assert basis40.value(5, 4) == 0.0
-        assert basis40.value(5, 3) == 0.0
-        assert basis40.value(5, 5) != 0.0
+        row = basis40.value_row(5)  # values at u = 1..L
+        assert row[3] == 0.0
+        assert row[2] == 0.0
+        assert row[4] != 0.0
 
     def test_orthogonal_to_constants(self, basis40, weights40):
         for l in range(1, basis40.l_max + 1):
@@ -57,7 +60,7 @@ class TestGram:
         p = [1.0]
         for r in ratios:
             p.append(p[-1] * r)
-        w = SymbolWeights.from_probabilities(p)
+        w = SymbolWeights(p=np.array(p) / math.fsum(p), d_max=0)
         assert build_basis(w).gram_residual() < 1e-10
 
 
@@ -69,7 +72,7 @@ class TestSmallness:
     def test_diagonal_values_bounded_by_inverse_root(self, basis40, weights40):
         # |e_l(l)| <= C / sqrt(p_l) with a modest constant
         for l in range(1, basis40.l_max + 1):
-            assert abs(basis40.value(l, l)) <= 1.01 / math.sqrt(weights40.p[l - 1])
+            assert abs(basis40.value_row(l)[l - 1]) <= 1.01 / math.sqrt(weights40.p[l - 1])
 
 
 def test_vanished_suffix_truncates_with_warning():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -202,11 +203,32 @@ class TestSchemas:
         ["support-probe", "--R", -5],
         ["support-probe", "--delta", "nan", "--R", 10],
         ["mw", "--n-grid", "1:1"],
+        ["weights-check", "--alpha", "inf"],
     ],
 )
 def test_unrunnable_input_exits_two(argv, tmp_path, capsys):
     assert run([*argv, "--out", tmp_path / "o"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv", [["weights-check", "--alpha", 1.5], ["support-probe", "--alpha", 1.2, "--R", 10]]
+)
+def test_overflowing_block_boundary_exits_two(argv, tmp_path, capsys):
+    # alpha just above 1 pushes the block boundaries past the int64 range
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([*argv, "--out", tmp_path / "o"])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: block boundary of level ")
+    assert f"passes the int64 range at alpha = {argv[2]!r}" in err
+
+
+def test_weights_check_names_the_alpha_it_reads(tmp_path, capsys):
+    assert run(["weights-check", "--alpha", 0.3, "--out", tmp_path / "o"]) == 2
+    assert "orbit-norm envelope N^(-0.3) is not summable" in capsys.readouterr().err
 
 
 def _rarely(odd, usual):

@@ -24,16 +24,14 @@ class TestTensorIndex:
 
 class TestLinearTable:
     def test_point_mass_supported_at_zero(self, model2, basis40):
+        # a[l, 0] = A_l / W_0 = A_l, and no deeper position carries a factor
         t = linear_fourier_table(model2, basis40, [1.0])
-        for l in (1, 2, 5):
-            a00 = t.coefficient(TensorIndex((l,), (0,)))
-            assert a00 == t.level_factors[l - 1]
-            assert t.coefficient(TensorIndex((l,), (-1,))) == 0.0
+        assert t.depth_factors.tolist() == [1.0]
 
     def test_forward_positions_vanish(self, model2, basis40):
+        # one depth factor per position 0, -1, ..., -256 and none beyond
         t = linear_fourier_table(model2, basis40, np.ones(257))
-        for l in (1, 3, 7):
-            assert t.coefficient(TensorIndex((l,), (3,))) == 0.0
+        assert len(t.depth_factors) == 257
 
     def test_parseval_recovers_amplitude_variance(self, model2, basis40, amp_moments):
         _, var = amp_moments
@@ -59,11 +57,11 @@ class TestLinearTable:
             ct[m + 1] = c[m] * model2.W[m + 1] / model2.W[m]
         base = linear_fourier_table(model2, basis40, c)
         composed = linear_fourier_table(model2, basis40, ct)
+        advanced = np.concatenate([[0.0], base.depth_factors])  # a[l, 1] = 0
         for l in (1, 2, 9):
-            for j in range(-5, 1):
-                assert composed.coefficient(TensorIndex((l,), (j,))) == pytest.approx(
-                    base.coefficient(TensorIndex((l,), (j + 1,))), rel=1e-12, abs=1e-300
-                )
+            assert composed.level_factors[l - 1] * composed.depth_factors == pytest.approx(
+                base.level_factors[l - 1] * advanced, rel=1e-12, abs=1e-300
+            )
 
 
 class TestExactCovariance:
@@ -126,7 +124,7 @@ class TestEnvelope:
         sqp = np.sqrt(weights40.p)
         for l in (1, 5, 20):
             for j in (0, -3, -64):
-                a = abs(t.coefficient(TensorIndex((l,), (j,))))
+                a = abs(t.level_factors[l - 1] * t.depth_factors[-j])
                 assert a <= c * sqp[l - 1] * (1.0 + abs(j)) ** -model2.alpha * (1 + 1e-12)
 
 

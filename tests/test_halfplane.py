@@ -107,10 +107,6 @@ class TestNeighborBookkeeping:
         for k in range(1, 65):
             assert hp.partner_count(k, 4 * k) <= 4.0 * k**0.25
 
-    def test_comparability_constant_two_from_two(self):
-        assert hp.comparability_bounds(256, start=2) <= 2.0
-
     def test_first_index_is_the_lone_exception(self):
         # k = 1 reaches j = 3, past the factor-2 window; everything else fits
         assert hp.related_indices(1, 10) == [1, 2, 3]
-        assert hp.comparability_bounds(256, start=1) == 3.0

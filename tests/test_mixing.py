@@ -216,15 +216,11 @@ class TestClt:
         with pytest.raises(ValueError, match="mean"):
             mixing.clt_experiment(model2, weights40, obs, 64, 200, SamplerState(1))
 
-    def test_slow_decay_needs_explicit_flag(self, chain, weights40):
+    def test_slow_decay_rejected(self, chain, weights40):
         slow = canonical_shift(0.75, depth=16, chain=chain)
         obs = with_exact_mean_subtracted(linear_functional([1.0]), slow, weights40)
-        with pytest.raises(ValueError, match="exploratory"):
+        with pytest.raises(ValueError, match="needs alpha > 1"):
             mixing.clt_experiment(slow, weights40, obs, 64, 200, SamplerState(1))
-        rep = mixing.clt_experiment(
-            slow, weights40, obs, 64, 200, SamplerState(1), exploratory=True
-        )
-        assert rep.replicas == 200
 
 
 class TestConditionalNorms:

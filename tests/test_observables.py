@@ -2,10 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from shiftmix.observables import (
-    composition_series_bound,
     evaluate,
     evaluate_windows,
     exact_mean,
@@ -23,29 +21,29 @@ from shiftmix.shift import LpVector, canonical_shift
 class TestEvaluate:
     def test_point_functional_on_base_vector(self, model2):
         obs = linear_functional([1.0])
-        v = LpVector.basis_vector(model2, 0)
+        v = LpVector(scaled=np.ones(1), model=model2)
         assert evaluate(obs, v) == 1.0
 
     def test_cross_monomial(self, model2):
         obs = monomial_sum([(1.0, (0, 1))])
-        v = LpVector.from_coords(model2, [2.0, 3.0])
+        v = LpVector(scaled=np.array([2.0, 3.0]) * model2.W[:2], model=model2)
         assert evaluate(obs, v) == 6.0
 
     def test_norm_square_is_euclidean_for_p_two(self, model2):
         obs = norm_power(2)
-        v = LpVector.from_coords(model2, [3.0, 4.0])
+        v = LpVector(scaled=np.array([3.0, 4.0]) * model2.W[:2], model=model2)
         assert evaluate(obs, v) == pytest.approx(25.0, rel=1e-14)
 
     def test_linearity_in_coefficients(self, model2):
         a = linear_functional([1.0, 0.5, 0.0, 2.0])
         b = linear_functional([0.0, 1.0, -1.0, 0.25])
         combo = linear_functional(3.0 * a.coefs + 2.0 * b.coefs)
-        v = LpVector.from_coords(model2, [0.3, -1.5, 0.75, 2.0])
+        v = LpVector(scaled=np.array([0.3, -1.5, 0.75, 2.0]) * model2.W[:4], model=model2)
         want = 3.0 * evaluate(a, v) + 2.0 * evaluate(b, v)
         assert evaluate(combo, v) == pytest.approx(want, rel=1e-14)
 
     def test_parse_roundtrip(self, model2):
-        v = LpVector.from_coords(model2, [2.0, 3.0, 1.0])
+        v = LpVector(scaled=np.array([2.0, 3.0, 1.0]) * model2.W[:3], model=model2)
         assert evaluate(parse_observable("lin:0=1,1=0.5"), v) == 3.5
         assert evaluate(parse_observable("mono:(0,1)=1"), v) == 6.0
         assert parse_observable("normp:2").power == 2
@@ -191,42 +189,3 @@ class TestGrowthCertificate:
         with pytest.raises(ValueError, match="L2"):
             taylor_growth_certificate(norm_power(2), chain)
 
-
-def brute_force_bound(d, B, A, tau, sigma, k):
-    """Direct evaluation of the composition bound chain for one degree."""
-    bt = max(B * tau, 1.0)
-    s, j = 0.0, 0
-    while True:
-        t = math.exp(j * math.log(bt) - sigma * gammaln(k // d + j + 1))
-        s += t
-        if j > 6 and t < 1e-18 * s:
-            break
-        j += 1
-    q = A * max(k, 1) ** d * bt**k * s
-    return q * math.exp(gammaln(k + 1)) * math.log(k + math.e) ** k
-
-
-class TestCompositionBound:
-    def test_linear_case_bounded_and_eventually_decreasing(self):
-        seq = composition_series_bound(1, 1.0, 1.0, 1.0, 2.0, 64)
-        assert np.isfinite(seq).all()
-        k0 = int(np.argmax(seq))
-        assert k0 < 32
-        assert np.all(np.diff(seq[max(k0, 1):]) <= 0)
-
-    def test_damping_must_exceed_degree(self):
-        with pytest.raises(ValueError, match="exceed"):
-            composition_series_bound(2, 1.0, 1.0, 1.0, 2.0, 16)
-
-    def test_quadratic_case_matches_direct_scan(self):
-        seq = composition_series_bound(2, 1.0, 1.0, 1.0, 3.0, 48)
-        brute = [brute_force_bound(2, 1.0, 1.0, 1.0, 3.0, k) for k in range(49)]
-        assert float(seq.max()) == pytest.approx(max(brute), rel=1e-9)
-        assert int(np.argmax(seq)) == int(np.argmax(brute))
-
-    def test_monotone_in_amplitude_and_bound(self):
-        lo = composition_series_bound(2, 1.0, 1.0, 1.0, 3.0, 32)
-        hi_amp = composition_series_bound(2, 1.0, 2.0, 1.0, 3.0, 32)
-        hi_b = composition_series_bound(2, 1.5, 1.0, 1.0, 3.0, 32)
-        assert np.all(hi_amp >= lo)
-        assert np.all(hi_b >= lo)

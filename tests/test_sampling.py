@@ -80,14 +80,14 @@ class TestWindowRealization:
         syms = np.ones(9, dtype=np.int64)
         syms[-1] = 2  # index 0 carries seed 2 (amplitude 1)
         v = window_vector(model2, SymbolWindow(-8, 0, syms))
-        assert v.coord(0) == 1.0
+        assert v.coords()[0] == 1.0
         assert np.all(v.scaled[1:] == 0.0)
 
     def test_depth_three_coordinate(self, model2):
         syms = np.ones(9, dtype=np.int64)
         syms[-4] = 2  # window index -3
         v = window_vector(model2, SymbolWindow(-8, 0, syms))
-        assert v.coord(3) == 1.0 / 9.0
+        assert v.coords()[3] == 1.0 / 9.0
 
     def test_window_must_cover_zero(self, model2):
         with pytest.raises(ValueError, match="cover"):
@@ -195,7 +195,7 @@ class TestSupportProbe:
         )
         # independent recomputation: prescribed symbols on [-half, half] and
         # the truncated beta-square tail
-        sched = build_block_schedule(model2, weights40, chain, levels=rep.level + 12)
+        sched = build_block_schedule(model2.alpha, weights40, chain, levels=rep.level + 12)
         half = int(sched.bounds[rep.level - 1])
         assert half == rep.window_halfwidth
         log_bound = 2 * half * float(weights40.log_p[0]) + float(weights40.log_p[1])
@@ -220,6 +220,6 @@ class TestSupportProbe:
         assert rep.hits == hits
 
     def test_off_grid_target_rejected(self, model2, weights40):
-        bad = LpVector.from_coords(model2, [0.3])  # 0.3 is not on the dyadic grid
+        bad = LpVector(scaled=np.array([0.3]), model=model2)  # 0.3 is not on the dyadic grid
         with pytest.raises(ValueError, match="seed grid"):
             support_probe(model2, weights40, bad, 0.25, 10, SamplerState(1))

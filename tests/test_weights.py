@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from shiftmix import weights as wt
-from shiftmix.shift import canonical_shift
 
 
 class TestGrowthChain:
     def test_inner_is_root_of_middle_at_half(self, chain):
-        assert chain.inner_at(2) == pytest.approx(math.sqrt(chain.middle_at(1)), rel=0, abs=0)
+        assert chain.inner_at(2) == pytest.approx(math.sqrt(chain.middle[0]), rel=0, abs=0)
 
     def test_pairing_holds_exhaustively_for_log(self):
         c = wt.build_growth_chain("log", 64)
@@ -85,9 +84,14 @@ class TestSymbolWeights:
             wt.build_symbol_weights(big, d_max=3, length=100)
 
 
+@pytest.fixture(scope="module")
+def schedule40(weights40, chain):
+    return wt.build_block_schedule(2.0, weights40, chain, levels=40)
+
+
 class TestConditionReport:
-    def test_constructed_weights_have_small_constants(self, weights40, chain):
-        rep = wt.check_weight_conditions(weights40, chain, k_max=20)
+    def test_constructed_weights_have_small_constants(self, weights40, chain, schedule40):
+        rep = wt.check_weight_conditions(weights40, chain, k_max=20, schedule=schedule40)
         assert rep.tail_domination.constant <= 0.5
         assert rep.sqrt_moment.constant <= 4.0
         assert rep.moment.constant <= 4.0
@@ -96,7 +100,8 @@ class TestConditionReport:
     def test_geometric_weights_fail_sqrt_moment(self):
         # inner scale ~ k against geometric decay: the constant grows with k
         L, K = 30, 40
-        w = wt.SymbolWeights.from_probabilities([2.0**-l for l in range(1, L + 1)])
+        p = 2.0 ** -np.arange(1, L + 1)
+        w = wt.SymbolWeights(p=p / math.fsum(p.tolist()), d_max=1)
         fake = wt.GrowthChain(
             kind="custom",
             k_max=K,
@@ -105,51 +110,59 @@ class TestConditionReport:
             inner=1.0 + np.arange(1, K + 1, dtype=float),
             ratio_monotone_from=1,
         )
-        rep = wt.check_weight_conditions(w, fake, k_max=30)
+        sched = wt.build_block_schedule(2.0, w, fake, levels=L)
+        rep = wt.check_weight_conditions(w, fake, k_max=30, schedule=sched)
         assert not rep.sqrt_moment.bounded
         per = rep.sqrt_moment.per_k
         assert per.max() > 10.0 * per[0]
 
-    def test_zero_k_range_reports_tail_only(self, weights40, chain):
-        rep = wt.check_weight_conditions(weights40, chain, k_max=0)
-        assert rep.sqrt_moment is None and rep.moment is None
-        assert rep.tail_domination.constant <= 0.5
+    def test_empty_ranges_rejected(self, weights40, chain, schedule40):
+        with pytest.raises(ValueError, match="k_max >= 1"):
+            wt.check_weight_conditions(weights40, chain, k_max=0, schedule=schedule40)
+        no_caps = wt.SymbolWeights(p=weights40.p, d_max=0)
+        with pytest.raises(ValueError, match="d_max >= 1"):
+            wt.check_weight_conditions(no_caps, chain, k_max=4, schedule=schedule40)
+        one_level = wt.build_block_schedule(2.0, weights40, chain, levels=1)
+        with pytest.raises(ValueError, match="two levels"):
+            wt.check_weight_conditions(weights40, chain, k_max=4, schedule=one_level)
 
-    def test_amplitude_caps_hold(self, weights40, chain):
-        rep = wt.check_weight_conditions(weights40, chain, k_max=4)
-        assert rep.amplitude_caps is not None
+    def test_amplitude_caps_hold(self, weights40, chain, schedule40):
+        rep = wt.check_weight_conditions(weights40, chain, k_max=4, schedule=schedule40)
         assert rep.amplitude_caps.constant <= 1.0
 
-    def test_block_sums_converge_with_schedule(self, weights40, chain, model2):
-        sched = wt.build_block_schedule(model2, weights40, chain, levels=40)
-        rep = wt.check_weight_conditions(weights40, chain, k_max=4, schedule=sched)
+    def test_block_sums_converge_with_schedule(self, weights40, chain, schedule40):
+        rep = wt.check_weight_conditions(weights40, chain, k_max=4, schedule=schedule40)
         for d in (1, 2, 3):
             assert rep.block_sum[d]["converged"]
 
 
 class TestBlockSchedule:
-    def test_minimal_boundary_satisfies_integral_oracle(self, weights40, chain, model2):
+    def test_minimal_boundary_satisfies_integral_oracle(self, weights40, chain):
         # tail sum_{m>N} inner(l)/m^2 <= inner(l)/N must sit below 2^-l-1
-        sched = wt.build_block_schedule(model2, weights40, chain, levels=10)
+        sched = wt.build_block_schedule(2.0, weights40, chain, levels=10)
         for l in range(1, 11):
             n = int(sched.bounds[l - 1])
             assert chain.inner_at(l) / n <= 2.0 ** -(l + 1) * (1 + 1e-12)
 
-    def test_gaps_strictly_convex(self, weights40, chain, model2):
-        sched = wt.build_block_schedule(model2, weights40, chain, levels=20)
+    def test_gaps_strictly_convex(self, weights40, chain):
+        sched = wt.build_block_schedule(2.0, weights40, chain, levels=20)
         gaps = np.diff(sched.bounds)
         assert np.all(np.diff(gaps) > 0)
         assert sched.gaps_convex
 
-    def test_beta_square_product_above_half(self, weights40, chain, model2):
-        sched = wt.build_block_schedule(model2, weights40, chain, levels=40)
-        assert math.exp(sched.log_beta_sq_sum) > 0.5
+    def test_beta_square_product_above_half(self, schedule40):
+        assert math.exp(schedule40.log_beta_sq_sum) > 0.5
 
     def test_harmonic_envelope_rejected(self, weights40, chain):
-        slow = canonical_shift(1.0, p_exp=2.0, chain=chain)
         with pytest.raises(ValueError, match="not summable"):
-            wt.build_block_schedule(slow, weights40, chain, levels=5)
+            wt.build_block_schedule(1.0, weights40, chain, levels=5)
 
-    def test_zero_levels_is_valid_and_empty(self, weights40, chain, model2):
-        sched = wt.build_block_schedule(model2, weights40, chain, levels=0)
-        assert len(sched) == 0
+    @pytest.mark.parametrize("alpha", [1.0 + 1e-9, 1.01])
+    def test_boundaries_past_int64_rejected(self, weights40, chain, alpha):
+        # the boundary power overflows the float range before the int64 one
+        with pytest.raises(ValueError, match=f"level \\d+ passes the int64 range at alpha = {alpha!r}"):
+            wt.build_block_schedule(alpha, weights40, chain, levels=16)
+
+    def test_zero_levels_is_valid_and_empty(self, weights40, chain):
+        sched = wt.build_block_schedule(2.0, weights40, chain, levels=0)
+        assert len(sched.bounds) == 0

@@ -1,7 +1,7 @@
 """Manifest-driven experiment runner.
 
 Each subcommand takes the fields its experiment reads (``_SCHEMAS``) plus
-``out`` and ``workers``, which determine no result byte.  It resolves them
+``out``; ``out`` and ``workers`` determine no result byte.  It resolves them
 from defaults, then an optional manifest file (flat ``key = value`` lines,
 none naming a field the experiment does not read), then explicit flags, and
 writes ``report.json`` (summary and pass flags), ``data.csv`` (per-point
@@ -85,7 +85,8 @@ def parse_manifest(path: str) -> dict:
     return values
 
 
-# execution fields: every subcommand takes them, and they determine no result byte
+# execution fields determine no result byte: every subcommand takes ``out``,
+# and those that run sample blocks list ``workers`` in their schema
 _EXECUTION = ("out", "workers")
 
 
@@ -129,15 +130,11 @@ def _build_stack(params, depth: int):
     return w, shift.canonical_shift(params["alpha"], params["p_exp"], depth=depth, chain=chain)
 
 
-def _ones_functional(depth: int) -> observables.Observable:
-    return observables.linear_functional(np.ones(depth + 1), descriptor=f"ones[{depth}]")
-
-
 def _pick_functional(name: str, depth: int) -> observables.Observable:
     if name == "ones":
-        return _ones_functional(depth)
+        return observables.linear_functional(np.ones(depth + 1))
     if name == "delta0":
-        return observables.linear_functional([1.0], descriptor="delta0")
+        return observables.linear_functional([1.0])
     return observables.parse_observable(name)
 
 
@@ -289,7 +286,7 @@ def _run_mw(params):
         raise ValueError("mw needs at least two n-grid points")
     w, model = _build_stack(params, max(grid))  # no saturation below the horizon
     b = basis_mod.build_basis(w)
-    obs = _ones_functional(model.depth)
+    obs = _pick_functional("ones", model.depth)
     table = mixing.linear_fourier_table(model, b, obs.coefs)
     diag = mixing.conditional_norm_diagnostics(table, np.array(grid))
     tail = max(2, len(grid) // 2)
@@ -387,7 +384,7 @@ def _run_support_probe(params):
     rows, results, passed = [], {}, True
     for i, (name, target) in enumerate(targets):
         rep = sampling.support_probe(
-            model, w, target, params["delta"], params["R"], state.substream(i)
+            model, w, target, params["delta"], params["R"], state.substream(i), params["workers"]
         )
         rows.append(f"{name},{rep.empirical!r},{rep.analytic_lower_bound!r}")
         results[name] = {
@@ -402,17 +399,17 @@ def _run_support_probe(params):
 _STACK = ("growth", "d_max", "L", "alpha", "p_exp", "depth")
 
 # experiment -> (runner, the fields it reads): the only per-experiment
-# parameter list; a runner gets these fields plus the execution fields
+# parameter list; a runner gets these fields plus ``out``
 _SCHEMAS = {
     "weights-check": (_run_weights_check, ("growth", "d_max", "L", "alpha")),
     "basis-check": (_run_basis_check, ("growth", "d_max", "L")),
-    "cov-decay": (_run_cov_decay, (*_STACK, "lags", "exact", "functional", "R", "seed")),
-    "clt": (_run_clt, (*_STACK, "functional", "N", "R", "seed")),
+    "cov-decay": (_run_cov_decay, (*_STACK, "lags", "exact", "functional", "R", "seed", "workers")),
+    "clt": (_run_clt, (*_STACK, "functional", "N", "R", "seed", "workers")),
     "mw": (_run_mw, (*_STACK, "n_grid")),
     "facts": (_run_facts, ("alpha", "n_grid")),
     "halfplane-decay": (_run_halfplane_decay, ("p", "k_grid")),
     "envelope-check": (_run_envelope_check, ("p", "kmax_list")),
-    "support-probe": (_run_support_probe, (*_STACK, "delta", "R", "seed")),
+    "support-probe": (_run_support_probe, (*_STACK, "delta", "R", "seed", "workers")),
 }
 
 
@@ -446,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, (_, fields) in _SCHEMAS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--manifest", default=None)
-        for field in (*fields, *_EXECUTION):
+        for field in (*fields, "out"):
             typ = _FIELDS[field][0]
             flag = "--" + field.replace("_", "-")
             if typ is bool:  # the one flag pair --exact / --mc
@@ -457,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
                 sp.add_argument(flag, dest=field, type=typ, default=None)
 
     args = parser.parse_args(argv)
-    accepted = (*_SCHEMAS[args.experiment][1], *_EXECUTION)
+    accepted = (*_SCHEMAS[args.experiment][1], "out")
     params = {k: _FIELDS[k][1] for k in accepted}
     try:
         if args.manifest:

@@ -1,20 +1,18 @@
 """Covariance decay, central limit behavior, and martingale diagnostics.
 
-Dynamics never iterate the operator on vectors: one window of symbols is
-sampled per replica and the operator acts as an index shift inside it, so a
-whole Birkhoff sum costs one pass over the window, for every kind of
-observable: the values of all its steps are read off the window's
-amplitude row at once.  Exact covariances come
-from the coefficient convolution of the factorized linear tables; Monte
-Carlo estimates must agree with them within standard errors, and the CLT
-experiments compare standardized Birkhoff sums against a moment-matched
-Gaussian.
+Dynamics never iterate the operator on vectors: each replica draws one
+window of symbols (``sample_replicas``, a block of replicas at a time) and
+the operator acts as an index shift inside it, so a whole Birkhoff sum
+costs one pass over the window, for every kind of observable.  Exact
+covariances come from the coefficient convolution of the factorized linear
+tables, through ``exact_decay_curve`` alone; Monte Carlo estimates must
+agree with them within standard errors, and the CLT experiments compare
+standardized Birkhoff sums against a moment-matched Gaussian.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +21,13 @@ from scipy.special import ndtr
 from .basis import build_basis
 from .fourier import FourierTable, exact_covariance, linear_fourier_table
 from .observables import Observable, evaluate_windows, exact_mean
-from .sampling import SamplerState, sample_symbol_matrix
+from .sampling import (
+    _REPLICA_BLOCK,
+    SamplerState,
+    _run_blocks,
+    sample_replicas,
+    sample_symbol_matrix,
+)
 from .shift import ShiftModel
 from .weights import SymbolWeights
 
@@ -44,21 +48,6 @@ __all__ = [
     "fact2_bruteforce",
     "regime_envelope",
 ]
-
-
-def _run_blocks(n_total: int, block: int, fn, workers: int) -> None:
-    """Run fn(start, stop) over fixed-size blocks, possibly on threads.
-
-    Blocks are a constant of the algorithm and every block writes disjoint
-    preassigned slices, so results do not depend on the worker count.
-    """
-    starts = list(range(0, n_total, block))
-    if workers <= 1:
-        for s in starts:
-            fn(s, min(s + block, n_total))
-        return
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        list(ex.map(lambda s: fn(s, min(s + block, n_total)), starts))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +266,7 @@ def clt_experiment(
     exponent must exceed 1, the proven regime.  Each replica draws a fresh
     stream; for linear observables the whole Birkhoff sum is one dot product
     against a precomputed kernel, for the others one evaluation of every
-    step's window at once.
+    step's window of a block of replicas at once.
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas for a usable distribution test")
@@ -289,8 +278,7 @@ def clt_experiment(
     if abs(mu) > 1e-9:
         raise ValueError(f"observable mean {mu!r} is not zero; center it first")
 
-    depth = obs.support_depth
-    width = n_steps + depth
+    width = n_steps + obs.support_depth
     values = np.empty(replicas)
     if obs.kind == "linear":
         k = obs.coefs / model.W[: len(obs.coefs)]
@@ -298,25 +286,22 @@ def clt_experiment(
         kern_rev = kern[::-1]
         shift_total = n_steps * obs.mean_shift
 
-        def block(start: int, stop: int) -> None:
-            for r in range(start, stop):
-                syms = sample_symbol_matrix(w, 1, width, state.substream(r))[0]
-                amp = model.amplitudes(syms)
-                values[r] = (float(amp @ kern_rev) - shift_total) / math.sqrt(n_steps)
-
-        _run_blocks(replicas, 256, block, workers)
+        def birkhoff_sums(syms: np.ndarray):
+            return [float(model.amplitudes(row) @ kern_rev) - shift_total for row in syms]
     else:
         # window index 0 of step p sits at column width - 1 - p
         ends = np.arange(width - 1, width - 1 - n_steps, -1)
 
-        def block(start: int, stop: int) -> None:
-            for r in range(start, stop):
-                syms = sample_symbol_matrix(w, 1, width, state.substream(r))
-                f = evaluate_windows(obs, model, model.amplitudes(syms), ends)[0]
-                # the running sum adds in step order from +0.0, as a loop would
-                values[r] = (float(np.cumsum(f)[-1]) + 0.0) / math.sqrt(n_steps)
+        def birkhoff_sums(syms: np.ndarray):
+            f = evaluate_windows(obs, model, model.amplitudes(syms), ends)
+            # the running sum adds in step order from +0.0, as a loop would
+            return np.cumsum(f, axis=1)[:, -1] + 0.0
 
-        _run_blocks(replicas, 64, block, workers)
+    def block(start: int, stop: int) -> None:
+        sums = birkhoff_sums(sample_replicas(w, width, state, start, stop))
+        values[start:stop] = np.asarray(sums) / math.sqrt(n_steps)
+
+    _run_blocks(replicas, _REPLICA_BLOCK, block, workers)
 
     var_hat = float(values.var(ddof=1))
     common = dict(
@@ -344,12 +329,10 @@ def clt_experiment(
 
     sigma2_series = None
     if obs.kind == "linear":
-        table = linear_fourier_table(model, build_basis(w), obs.coefs)
-        c0 = exact_covariance(table, table, 0)
-        total = c0
-        for p in range(1, len(obs.coefs)):
-            c = exact_covariance(table, table, p)
-            if abs(c) < 1e-12 * abs(c0):
+        cov = exact_decay_curve(model, w, obs, obs, np.arange(len(obs.coefs))).exact
+        total = cov[0]
+        for c in cov[1:]:
+            if abs(c) < 1e-12 * abs(cov[0]):
                 break
             total += 2.0 * c
         sigma2_series = float(total)
@@ -406,23 +389,20 @@ def conditional_norm_diagnostics(table: FourierTable, n_grid: np.ndarray) -> Mar
     D = len(g) - 1
     amp = float(np.dot(table.level_factors, table.level_factors))
 
+    # prefix sums over positions -D .. 0; positions above 0 carry nothing
+    P = np.concatenate([[0.0], np.cumsum(g[::-1])])
+
+    def window_sum(j_positions: np.ndarray, n: int) -> np.ndarray:
+        # S(j, n) = sum_{p < n} of the mass at position j + p
+        return P[np.clip(j_positions + D + n, 0, D + 1)] - P[np.clip(j_positions + D, 0, D + 1)]
+
     known_sq = np.empty(len(n_grid))
     resid_sq = np.empty(len(n_grid))
     for i, n in enumerate(n_grid):
-        # prefix sums over positions i in [-D, n]: h(i) = g[-i] for i <= 0
-        h = np.zeros(D + n + 1)
-        h[: D + 1] = g[::-1]  # positions -D .. 0
-        P = np.concatenate([[0.0], np.cumsum(h)])
-        # S(j, n) = sum_{p < n} h(j + p), with j indexed from -D
-        def window_sum(j_positions: np.ndarray) -> np.ndarray:
-            a = np.clip(j_positions + D, 0, D + n + 1)
-            b = np.clip(j_positions + D + n, 0, D + n + 1)
-            return P[b] - P[a]
-
         j_known = np.arange(0, 1)  # positions >= 0 with any mass: only 0
-        known_sq[i] = amp * float(np.sum(window_sum(j_known) ** 2))
+        known_sq[i] = amp * float(np.sum(window_sum(j_known, n) ** 2))
         j_resid = np.arange(-D - n, -n)  # positions strictly below -n
-        resid_sq[i] = amp * float(np.sum(window_sum(j_resid) ** 2))
+        resid_sq[i] = amp * float(np.sum(window_sum(j_resid, n) ** 2))
 
     known_summand = np.sqrt(known_sq) / n_grid.astype(float) ** 1.5
     resid_summand = np.sqrt(resid_sq) / n_grid.astype(float) ** 1.5

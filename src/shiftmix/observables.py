@@ -42,7 +42,6 @@ class Observable:
     terms: tuple[tuple[float, tuple[int, ...]], ...] | None = None
     power: int | None = None
     mean_shift: float = 0.0
-    descriptor: str = ""
 
     @property
     def degree(self) -> int | None:
@@ -62,20 +61,19 @@ class Observable:
         return 0
 
 
-def linear_functional(coefs: Sequence[float], descriptor: str = "") -> Observable:
-    c = np.asarray(coefs, dtype=float)
-    return Observable(kind="linear", coefs=c, descriptor=descriptor or f"lin[{len(c)}]")
+def linear_functional(coefs: Sequence[float]) -> Observable:
+    return Observable(kind="linear", coefs=np.asarray(coefs, dtype=float))
 
 
-def monomial_sum(terms: Sequence[tuple[float, Sequence[int]]], descriptor: str = "") -> Observable:
+def monomial_sum(terms: Sequence[tuple[float, Sequence[int]]]) -> Observable:
     tt = tuple((float(c), tuple(int(i) for i in ix)) for c, ix in terms)
-    return Observable(kind="monomials", terms=tt, descriptor=descriptor or "mono")
+    return Observable(kind="monomials", terms=tt)
 
 
 def norm_power(d: int) -> Observable:
     if d < 1:
         raise ValueError("power must be positive")
-    return Observable(kind="norm_power", power=d, descriptor=f"normp:{d}")
+    return Observable(kind="norm_power", power=d)
 
 
 def parse_observable(text: str) -> Observable:
@@ -92,7 +90,7 @@ def parse_observable(text: str) -> Observable:
         coefs = np.zeros(max(pairs) + 1)
         for k, v in pairs.items():
             coefs[k] = v
-        return linear_functional(coefs, descriptor=text)
+        return linear_functional(coefs)
     if head == "mono":
         terms = []
         for item in body.split(";"):
@@ -102,7 +100,7 @@ def parse_observable(text: str) -> Observable:
                 raise ValueError(f"bad monomial index {ix!r}")
             idx = tuple(int(t) for t in ix[1:-1].split(",") if t.strip() != "")
             terms.append((float(v), idx))
-        return monomial_sum(terms, descriptor=text)
+        return monomial_sum(terms)
     if head == "normp":
         return norm_power(int(body))
     raise ValueError(f"unknown observable form {text!r}")
@@ -204,7 +202,6 @@ def with_exact_mean_subtracted(obs: Observable, model: ShiftModel, w: SymbolWeig
         terms=obs.terms,
         power=obs.power,
         mean_shift=mu,
-        descriptor=obs.descriptor + "-centered",
     )
 
 

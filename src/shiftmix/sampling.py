@@ -14,6 +14,7 @@ replayable and independent of scheduling.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "SymbolWindow",
     "sample_window",
     "sample_symbol_matrix",
+    "sample_replicas",
     "window_vector",
     "conjugacy_residual",
     "SupportProbeReport",
@@ -35,7 +37,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1024  # rows of a symbol matrix drawn from one substream
-_PROBE_BLOCK = 64  # support-probe samples whose distances are taken together
+_REPLICA_BLOCK = 64  # replicas drawn and reduced together
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -119,6 +121,31 @@ def sample_symbol_matrix(w: SymbolWeights, rows: int, cols: int, state: SamplerS
     return out
 
 
+def sample_replicas(w: SymbolWeights, cols: int, state: SamplerState, start: int, stop: int) -> np.ndarray:
+    """Symbol rows of replicas ``start .. stop - 1``: replica r reads the
+    one-row matrix of ``state.substream(r)``, whichever block draws it."""
+    thr = _thresholds(w)
+    out = np.empty((stop - start, cols), dtype=np.int64)
+    for i in range(stop - start):
+        out[i] = _symbols(thr, state.substream(start + i).substream(0).rng().random(cols))
+    return out
+
+
+def _run_blocks(n_total: int, block: int, fn, workers: int) -> None:
+    """Run fn(start, stop) over fixed-size blocks, possibly on threads.
+
+    Blocks are a constant of the algorithm and every block writes disjoint
+    preassigned slices, so results do not depend on the worker count.
+    """
+    starts = list(range(0, n_total, block))
+    if workers <= 1:
+        for s in starts:
+            fn(s, min(s + block, n_total))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        list(ex.map(lambda s: fn(s, min(s + block, n_total)), starts))
+
+
 def window_vector(model: ShiftModel, win: SymbolWindow) -> LpVector:
     """Realize a window as a vector: scaled coordinate m = seed(symbol at -m).
 
@@ -187,6 +214,7 @@ def support_probe(
     delta: float,
     samples: int,
     state: SamplerState,
+    workers: int = 1,
 ) -> SupportProbeReport:
     """Estimate the measure of a delta-ball and certify it is positive.
 
@@ -238,13 +266,16 @@ def support_probe(
     depth = model.depth
     b = np.zeros(max(depth + 1, len(target.scaled)))
     b[: len(target.scaled)] = target.scaled
-    hits_n = 0
-    for start in range(0, samples, _PROBE_BLOCK):
-        block = range(start, min(start + _PROBE_BLOCK, samples))
-        syms = np.vstack([sample_symbol_matrix(w, 1, depth + 1, state.substream(r)) for r in block])
-        a = np.zeros((len(syms), len(b)))
+    hit = np.empty(samples, dtype=bool)
+
+    def block(start: int, stop: int) -> None:
+        syms = sample_replicas(w, depth + 1, state, start, stop)
+        a = np.zeros((stop - start, len(b)))
         a[:, : depth + 1] = model.amplitudes(syms[:, ::-1])
-        hits_n += int(np.count_nonzero(row_norms(model, a - b) < delta))
+        hit[start:stop] = row_norms(model, a - b) < delta
+
+    _run_blocks(samples, _REPLICA_BLOCK, block, workers)
+    hits_n = int(np.count_nonzero(hit))
     return SupportProbeReport(
         empirical=hits_n / samples,
         hits=hits_n,

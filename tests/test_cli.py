@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftmix.cli import _FIELDS, _SCHEMAS, ManifestError, _parse_grid, main, parse_manifest
+from shiftmix.cli import _EXECUTION, _FIELDS, _SCHEMAS, ManifestError, _parse_grid, main, parse_manifest
 from shiftmix.weights import GROWTH_FUNCTIONS
 
 MONO = "mono:(0,0)=1;(0,1)=1"
@@ -126,9 +126,13 @@ class TestArtifacts:
         assert report["params"]["R"] == 150
 
     def test_worker_count_changes_no_byte(self, tmp_path):
-        for i, functional in enumerate(("ones", "mono:(0,0)=1;(0,1)=1")):
+        calls = [
+            ["clt", "--functional", functional, "--R", 150, "--N", 512, "--seed", 9]
+            for functional in ("ones", "mono:(0,0)=1;(0,1)=1")
+        ]
+        calls.append(["support-probe", "--R", 300, "--seed", 9])
+        for i, args in enumerate(calls):
             a, b = tmp_path / f"w1-{i}", tmp_path / f"w4-{i}"
-            args = ["clt", "--functional", functional, "--R", 150, "--N", 512, "--seed", 9]
             assert run([*args, "--out", a]) == 0
             assert run([*args, "--workers", 4, "--out", b]) == 0
             for name in ("data.csv", "report.json", "manifest.replay"):
@@ -171,12 +175,22 @@ class TestSchemas:
         lines = (out / "manifest.replay").read_text().splitlines()
         assert lines[0] == f"experiment = {experiment}"
         keys = {line.split(" = ")[0] for line in lines[1:]}
-        assert keys == {f for f in _SCHEMAS[experiment][1] if _FIELDS[f][1] is not None}
+        schema = set(_SCHEMAS[experiment][1]) - set(_EXECUTION)
+        assert keys == {f for f in schema if _FIELDS[f][1] is not None}
         assert set(json.loads((out / "report.json").read_text())["params"]) == keys
 
     def test_flag_outside_the_schema_is_refused(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["support-probe", "--lags", "1:4", "--out", tmp_path / "o"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "experiment", [e for e in _SCHEMAS if e not in ("cov-decay", "clt", "support-probe")]
+    )
+    def test_workers_only_where_blocks_run(self, experiment, tmp_path):
+        # only cov-decay, clt and support-probe draw samples in blocks
+        with pytest.raises(SystemExit) as exc:
+            run([experiment, "--workers", 2, "--out", tmp_path / "o"])
         assert exc.value.code == 2
 
     def test_manifest_field_outside_the_schema_exits_two(self, tmp_path, capsys):
@@ -270,6 +284,7 @@ FLAG_VALUES = {
         lambda xs: ",".join(map(str, xs))
     ),
     "delta": _float(-0.5, 2.0),
+    "workers": st.integers(0, 3),
 }
 # drawn on every call, so that no default (R = 2000, lags up to 4096) sets the size
 SIZES = {"R", "N", "lags", "n_grid", "k_grid", "kmax_list"}
@@ -297,7 +312,7 @@ def cli_calls(draw):
 def test_any_drawn_call_ends_with_an_exit_code(tmp_path_factory, argv):
     out = tmp_path_factory.mktemp("call")
     assert main([*argv, "--out", str(out / "w1")]) in (0, 1, 2)
-    if argv[0] == "clt" or (argv[0] == "cov-decay" and "--mc" in argv):
+    if argv[0] in ("clt", "support-probe") or (argv[0] == "cov-decay" and "--mc" in argv):
         assert main([*argv, "--workers", "2", "--out", str(out / "w2")]) in (0, 1, 2)
         for name in ("report.json", "data.csv", "manifest.replay"):
             a, b = out / "w1" / name, out / "w2" / name

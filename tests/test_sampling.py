@@ -11,6 +11,7 @@ from shiftmix.sampling import (
     _symbols,
     _thresholds,
     conjugacy_residual,
+    sample_replicas,
     sample_symbol_matrix,
     sample_window,
     support_probe,
@@ -54,6 +55,15 @@ class TestSampler:
         a = sample_symbol_matrix(weights40, 3000, 64, state)
         u = state.substream(1).rng().random((1024, 64))
         assert np.array_equal(a[1024:2048], _symbols(_thresholds(weights40), u))
+
+    @pytest.mark.parametrize("start, stop", [(0, 5), (70, 73)])
+    def test_replica_rows_are_one_row_matrices(self, weights40, start, stop):
+        # replica r reads substream r alone, wherever its block starts
+        state = SamplerState(8, 2)
+        rows = sample_replicas(weights40, 33, state, start, stop)
+        assert rows.shape == (stop - start, 33) and rows.dtype == np.int64
+        for i, r in enumerate(range(start, stop)):
+            assert np.array_equal(rows[i], sample_symbol_matrix(weights40, 1, 33, state.substream(r))[0])
 
     def test_zero_seed_fast_path_matches_full_search(self, weights40):
         thr = _thresholds(weights40)

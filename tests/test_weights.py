@@ -95,7 +95,6 @@ class TestConditionReport:
         assert rep.tail_domination.constant <= 0.5
         assert rep.sqrt_moment.constant <= 4.0
         assert rep.moment.constant <= 4.0
-        assert rep.sqrt_moment.bounded and rep.moment.bounded
 
     def test_geometric_weights_fail_sqrt_moment(self):
         # inner scale ~ k against geometric decay: the constant grows with k
@@ -112,7 +111,6 @@ class TestConditionReport:
         )
         sched = wt.build_block_schedule(2.0, w, fake, levels=L)
         rep = wt.check_weight_conditions(w, fake, k_max=30, schedule=sched)
-        assert not rep.sqrt_moment.bounded
         per = rep.sqrt_moment.per_k
         assert per.max() > 10.0 * per[0]
 

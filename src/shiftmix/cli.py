@@ -105,15 +105,15 @@ def canonical_manifest(experiment: str, params: dict) -> str:
 def _parse_grid(text: str) -> list[int]:
     """Either a comma list or 'lo:hi' doubling from lo to hi; all positive."""
     if ":" in text:
-        lo, hi = (int(x) for x in text.split(":")[:2])
+        lo, hi, *extra = (int(x) for x in text.split(":"))
         out = []
-        while 0 < lo <= hi:
+        while 0 < lo <= hi and not extra:
             out.append(lo)
             lo *= 2
     else:
         out = [int(x) for x in text.split(",")]
     if not out or min(out) <= 0:
-        raise ValueError(f"grid {text!r} needs positive points and lo <= hi")
+        raise ValueError(f"grid {text!r} needs 'lo:hi' or a comma list of positive points, lo <= hi")
     return out
 
 

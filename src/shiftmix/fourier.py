@@ -54,11 +54,9 @@ class FourierTable:
     """Factorized coefficient table of one linear functional.
 
     ``level_factors[l-1]`` and ``depth_factors[m] = c_m / W_m`` give the
-    coefficient ``a[l, -m]`` as their product.  ``mean`` is the constant-part
-    coefficient, kept separate because covariances never see it.
+    coefficient ``a[l, -m]`` as their product.
     """
 
-    mean: float
     level_factors: np.ndarray
     depth_factors: np.ndarray
     weight_probs: np.ndarray
@@ -91,10 +89,7 @@ def linear_fourier_table(
         A[l - 1] = w.p[l - 1] * basis.diag[l - 1] * amps[l - 1] + basis.off[l - 1] * suffix[l]
 
     depth_factors = coefs / model.W[: len(coefs)]
-    mean_amp = float(np.dot(w.p, amps))
-    mean = mean_amp * float(depth_factors.sum())
     return FourierTable(
-        mean=mean,
         level_factors=A,
         depth_factors=depth_factors,
         weight_probs=w.p.copy(),
@@ -109,7 +104,7 @@ def mc_fourier_coefficient(
     index: TensorIndex,
     samples: int,
     state: SamplerState,
-    depth: int | None = None,
+    depth: int,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of one tensor coefficient, with standard error.
 
@@ -118,8 +113,6 @@ def mc_fourier_coefficient(
     contain every index position, hence positions above the realization
     depth or below -depth raise.
     """
-    if depth is None:
-        depth = model.depth
     if max(index.positions) > 0 or min(index.positions) < -depth:
         raise ValueError("index positions outside the sampled window")
     if max(index.levels) > basis.l_max:

@@ -123,16 +123,13 @@ def guaranteed_decay_exponent(p: int) -> float:
 @dataclass(frozen=True)
 class TranslationDecayFit:
     exponent: float
-    intercept: float
     guaranteed: float
     ks: np.ndarray
     norms: np.ndarray
     errors: np.ndarray
 
 
-def translation_decay_fit(
-    p: int, k_grid, config: QuadratureConfig | None = None
-) -> TranslationDecayFit:
+def translation_decay_fit(p: int, k_grid) -> TranslationDecayFit:
     """Fit the decay of translate norms against the certified exponent.
 
     Needs profile power at least 4 and at least two usable grid points;
@@ -144,7 +141,7 @@ def translation_decay_fit(
     base = DecayedFunction(decay_power=p)
     for k in sorted(int(v) for v in k_grid):
         try:
-            res = h2_norm(translate(base, k), config)
+            res = h2_norm(translate(base, k))
         except ArithmeticError as exc:
             warnings.warn(f"dropping k = {k}: {exc}", RuntimeWarning)
             continue
@@ -156,7 +153,6 @@ def translation_decay_fit(
     fit = log_log_fit(ks, norms)
     return TranslationDecayFit(
         exponent=-fit.slope,
-        intercept=fit.intercept,
         guaranteed=guaranteed_decay_exponent(p),
         ks=np.array(ks),
         norms=np.array(norms),
@@ -192,12 +188,7 @@ class EnvelopeCheck:
     k_max: int
 
 
-def envelope_sum_check(
-    p: int,
-    theta_values,
-    k_max: int,
-    config: QuadratureConfig | None = None,
-) -> EnvelopeCheck:
+def envelope_sum_check(p: int, theta_values, k_max: int) -> EnvelopeCheck:
     """Norm of a full translate sum against the k^{-3/2} envelope.
 
     lhs is the Hardy norm of ``sum_k theta_k * translate_k(profile)``
@@ -210,14 +201,12 @@ def envelope_sum_check(
     theta = np.asarray(list(theta_values), dtype=float)
     if len(theta) != k_max:
         raise ValueError("need one scale per translate")
-    if config is None:
-        config = QuadratureConfig(tolerance=1e-8)
     kk = np.arange(1, k_max + 1, dtype=float)
 
     def total(x: float) -> float:
         u = x + kk
         return float(np.sum(theta / (1.0 + u * u) ** p))
 
-    res = h2_norm(total, config, breakpoints=tuple(-kk))
+    res = h2_norm(total, QuadratureConfig(tolerance=1e-8), breakpoints=tuple(-kk))
     rhs = float(np.sum(theta**2 * kk**-1.5))
     return EnvelopeCheck(lhs=res.value, rhs=rhs, ratio=res.value / rhs, k_max=k_max)

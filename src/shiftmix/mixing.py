@@ -60,8 +60,6 @@ class DecayReport:
     mc: np.ndarray | None
     se: np.ndarray | None
     exact: np.ndarray | None
-    alpha: float
-    n_samples: int
 
     def usable_mask(self) -> np.ndarray:
         """Lags whose value stands clear of its error bound (10x)."""
@@ -85,7 +83,8 @@ def empirical_covariance(
     lags: np.ndarray,
     n_samples: int,
     depth: int | None = None,
-    state: SamplerState | None = None,
+    *,
+    state: SamplerState,
     workers: int = 1,
 ) -> DecayReport:
     """Monte Carlo lag covariances with standard errors and exact columns.
@@ -96,8 +95,6 @@ def empirical_covariance(
     products, so observable means do not need to be removed beforehand.
     """
     lags = np.asarray(sorted(int(x) for x in lags))
-    if state is None:
-        state = SamplerState(0)
     support = max(obs_f.support_depth, obs_g.support_depth)
     if depth is None:
         depth = support
@@ -134,9 +131,7 @@ def empirical_covariance(
     exact = None
     if obs_f.kind == "linear" and obs_g.kind == "linear":
         exact = exact_decay_curve(model, w, obs_f, obs_g, lags).exact
-    return DecayReport(
-        lags=lags, mc=mc, se=se, exact=exact, alpha=model.alpha, n_samples=n_samples
-    )
+    return DecayReport(lags=lags, mc=mc, se=se, exact=exact)
 
 
 def exact_decay_curve(
@@ -154,15 +149,13 @@ def exact_decay_curve(
     tf = linear_fourier_table(model, basis, obs_f.coefs)
     tg = linear_fourier_table(model, basis, obs_g.coefs)
     exact = np.array([exact_covariance(tf, tg, int(p)) for p in lags])
-    return DecayReport(lags=lags, mc=None, se=None, exact=exact, alpha=model.alpha, n_samples=0)
+    return DecayReport(lags=lags, mc=None, se=None, exact=exact)
 
 
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float
     ci: float
-    intercept: float
-    n_points: int
 
 
 def log_log_fit(x, y) -> SlopeFit:
@@ -179,7 +172,7 @@ def log_log_fit(x, y) -> SlopeFit:
         ci = 1.96 * math.sqrt(s2 / sx)
     else:
         ci = 0.0
-    return SlopeFit(slope=float(coef[0]), ci=ci, intercept=float(coef[1]), n_points=n)
+    return SlopeFit(slope=float(coef[0]), ci=ci)
 
 
 def decay_exponent_fit(report: DecayReport) -> SlopeFit:
@@ -213,7 +206,6 @@ def log_lag_ratio_band(report: DecayReport) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CltReport:
-    replicas: int
     samples: np.ndarray
     ks_distance: float
     ks_limit: float
@@ -305,7 +297,6 @@ def clt_experiment(
 
     var_hat = float(values.var(ddof=1))
     common = dict(
-        replicas=replicas,
         samples=values,
         ks_limit=1.5 * 1.63 / math.sqrt(replicas),
         skew_limit=4.0 * math.sqrt(6.0 / replicas),
@@ -423,7 +414,6 @@ def conditional_norm_diagnostics(table: FourierTable, n_grid: np.ndarray) -> Mar
 
 @dataclass(frozen=True)
 class FactConstants:
-    alpha: float
     n_grid: np.ndarray
     lhs: np.ndarray
     c_stated: np.ndarray  # against max(n^{3-2a}, log(n+1))
@@ -476,7 +466,6 @@ def window_tail_constants(alpha: float, n_grid) -> FactConstants:
     lhs = np.array([_window_power_lhs(alpha, int(n)) for n in n_grid])
     stated = np.maximum(n_grid.astype(float) ** (3.0 - 2.0 * alpha), np.log(n_grid + 1.0))
     return FactConstants(
-        alpha=alpha,
         n_grid=n_grid,
         lhs=lhs,
         c_stated=lhs / stated,

@@ -12,7 +12,7 @@ that decides membership in the regularity class of an outer growth scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -67,6 +67,8 @@ def linear_functional(coefs: Sequence[float]) -> Observable:
 
 def monomial_sum(terms: Sequence[tuple[float, Sequence[int]]]) -> Observable:
     tt = tuple((float(c), tuple(int(i) for i in ix)) for c, ix in terms)
+    if any(i < 0 for _, ix in tt for i in ix):
+        raise ValueError("monomial coordinates must be nonnegative")
     return Observable(kind="monomials", terms=tt)
 
 
@@ -79,13 +81,16 @@ def norm_power(d: int) -> Observable:
 def parse_observable(text: str) -> Observable:
     """Parse the compact forms ``lin:0=1,1=0.5``, ``mono:(0,1)=1``, ``normp:2``.
 
-    Several monomial terms are separated by semicolons.
+    Several monomial terms are separated by semicolons; coordinates are
+    nonnegative.
     """
     head, _, body = text.partition(":")
     if head == "lin":
         pairs = {}
         for item in body.split(","):
             k, _, v = item.partition("=")
+            if int(k) < 0:
+                raise ValueError(f"linear coordinate {k!r} must be nonnegative")
             pairs[int(k)] = float(v)
         coefs = np.zeros(max(pairs) + 1)
         for k, v in pairs.items():
@@ -196,13 +201,7 @@ def exact_mean(obs: Observable, model: ShiftModel, w: SymbolWeights) -> float:
 
 def with_exact_mean_subtracted(obs: Observable, model: ShiftModel, w: SymbolWeights) -> Observable:
     mu = exact_mean(obs, model, w) + obs.mean_shift
-    return Observable(
-        kind=obs.kind,
-        coefs=obs.coefs,
-        terms=obs.terms,
-        power=obs.power,
-        mean_shift=mu,
-    )
+    return replace(obs, mean_shift=mu)
 
 
 @dataclass(frozen=True)

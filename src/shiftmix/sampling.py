@@ -150,9 +150,7 @@ def window_vector(model: ShiftModel, win: SymbolWindow) -> LpVector:
     """Realize a window as a vector: scaled coordinate m = seed(symbol at -m).
 
     The window must cover index 0.  Coordinates deeper than the window or
-    the model truncation are dropped; the dropped mass is bounded (using
-    the actual symbols where known, the admissibility envelope elsewhere)
-    and recorded on the result.
+    the model truncation are dropped.
     """
     if win.lo > 0 or win.hi < 0:
         raise ValueError("window must cover index 0")
@@ -161,30 +159,15 @@ def window_vector(model: ShiftModel, win: SymbolWindow) -> LpVector:
     depth = min(-win.lo, model.depth)
     idx0 = -win.lo  # array position of window index 0
     z = model.symbol_alpha[win.symbols[idx0 - depth : idx0 + 1][::-1]]
-
-    p = model.p_exp
-    tail = 0.0
-    if -win.lo > model.depth:
-        # known symbols past the truncation
-        syms = win.symbols[: idx0 - depth]
-        amps = np.abs(model.symbol_alpha[syms[::-1]])
-        ms = np.arange(depth + 1, -win.lo + 1, dtype=float)
-        tail += float(np.sum(amps**p / ms ** (model.alpha * p)) ** (1.0 / p))
-    elif -win.lo < model.depth:
-        # unknown symbols inside the truncation: use the largest admissible amplitude
-        a_max = float(np.max(np.abs(model.seed_values)))
-        ms = np.arange(-win.lo + 1, model.depth + 1, dtype=float)
-        tail += float((a_max**p * np.sum(ms ** (-model.alpha * p))) ** (1.0 / p))
-    return LpVector(scaled=z, model=model, tail_bound=tail)
+    return LpVector(scaled=z, model=model)
 
 
 def conjugacy_residual(model: ShiftModel, win: SymbolWindow) -> float:
     """Norm of (operator o realize - realize o shift) on one window.
 
     Zero exactly when the window depth fits the truncation; with a deeper
-    window the residual is positive but stays below the sum of the two
-    recorded truncation bounds (the shifted realization keeps one
-    coordinate the operator image has already truncated away).
+    window the residual is positive, because the shifted realization keeps
+    one coordinate the operator image has already truncated away.
     """
     if win.hi < 1:
         raise ValueError("window must cover index 1")
@@ -200,11 +183,7 @@ def conjugacy_residual(model: ShiftModel, win: SymbolWindow) -> float:
 class SupportProbeReport:
     empirical: float
     hits: int
-    samples: int
     analytic_lower_bound: float
-    analytic_log: float
-    level: int
-    window_halfwidth: int
 
 
 def support_probe(
@@ -279,9 +258,5 @@ def support_probe(
     return SupportProbeReport(
         empirical=hits_n / samples,
         hits=hits_n,
-        samples=samples,
         analytic_lower_bound=analytic,
-        analytic_log=log_bound,
-        level=level,
-        window_halfwidth=half,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weights import GrowthChain, build_growth_chain
+from .weights import GrowthChain
 
 __all__ = [
     "ShiftModel",
@@ -108,7 +108,8 @@ def canonical_shift(
     alpha: float,
     p_exp: float = 2.0,
     depth: int = 256,
-    chain: GrowthChain | None = None,
+    *,
+    chain: GrowthChain,
 ) -> ShiftModel:
     """Build the canonical model with ``W_m = m**alpha`` and 64 seeds.
 
@@ -129,8 +130,6 @@ def canonical_shift(
         raise ValueError("alpha must exceed 1/2 for the covariance decay regimes")
     if p_exp < 1.0:
         raise ValueError("p_exp must be at least 1")
-    if chain is None:
-        chain = build_growth_chain("log", 128)
     W = np.arange(0, depth + 1, dtype=float) ** alpha
     W[0] = 1.0
     seeds = enumerate_seed_values(chain, 64, p_exp)
@@ -143,15 +142,11 @@ def canonical_shift(
 class LpVector:
     """Finitely supported vector, stored through scaled coordinates.
 
-    ``scaled[m] = y_m * W_m``; ``coords()`` recovers y.  ``tail_bound`` is an
-    upper bound on the norm of whatever was cut off when the vector was
-    produced (truncation depth, unknown window symbols); it is 0 for
-    exactly represented vectors.
+    ``scaled[m] = y_m * W_m``; ``coords()`` recovers y.
     """
 
     scaled: np.ndarray
     model: ShiftModel
-    tail_bound: float = 0.0
 
     def coords(self) -> np.ndarray:
         return self.scaled / self.model.W[: len(self.scaled)]
@@ -181,21 +176,8 @@ def apply_shift(model: ShiftModel, v: LpVector, steps: int) -> LpVector:
     if steps == 0:
         return v
     if steps >= len(v.scaled):
-        return LpVector(scaled=np.zeros(1), model=model, tail_bound=_shift_tail(model, v, steps))
-    return LpVector(
-        scaled=v.scaled[steps:].copy(),
-        model=model,
-        tail_bound=_shift_tail(model, v, steps),
-    )
-
-
-def _shift_tail(model: ShiftModel, v: LpVector, steps: int) -> float:
-    if v.tail_bound == 0.0:
-        return 0.0
-    # cut-off coordinates lived past depth - steps; the shift scales them by
-    # at most ((m+steps)/m)^alpha there
-    m0 = max(model.depth - steps, 1)
-    return v.tail_bound * ((m0 + steps) / m0) ** model.alpha
+        return LpVector(scaled=np.zeros(1), model=model)
+    return LpVector(scaled=v.scaled[steps:].copy(), model=model)
 
 
 def apply_section(model: ShiftModel, seed_index: int, k: int) -> LpVector:

@@ -62,12 +62,10 @@ class GrowthChain:
     ``kappa = i + 1``.  Use the ``*_at`` accessors.
     """
 
-    kind: str
     k_max: int
     outer: np.ndarray
     middle: np.ndarray
     inner: np.ndarray
-    ratio_monotone_from: int  # index from which middle^2/outer is nonincreasing
 
     def _at(self, arr: np.ndarray, k: int) -> float:
         if not 1 <= k <= self.k_max:
@@ -118,9 +116,8 @@ def build_growth_chain(outer: str | Callable[[int], float], k_max: int = 128) ->
             fn = GROWTH_FUNCTIONS[outer]
         except KeyError:
             raise ValueError(f"unknown growth function {outer!r}") from None
-        kind = outer
     else:
-        fn, kind = outer, "custom"
+        fn = outer
 
     vals = np.array([float(fn(k)) for k in range(1, k_max + 1)])
     if np.any(vals <= 1.0):
@@ -145,14 +142,7 @@ def build_growth_chain(outer: str | Callable[[int], float], k_max: int = 128) ->
     if ratio[-1] >= ratio[monotone_from]:
         raise ValueError("middle^2/outer does not decay over the tabulated range")
 
-    chain = GrowthChain(
-        kind=kind,
-        k_max=k_max,
-        outer=vals,
-        middle=middle,
-        inner=inner,
-        ratio_monotone_from=monotone_from + 1,
-    )
+    chain = GrowthChain(k_max=k_max, outer=vals, middle=middle, inner=inner)
     margin = chain.pairing_margin()
     if margin > 1e-12:
         raise ValueError(f"pairing inequality violated with log margin {margin:.3e}")
@@ -357,7 +347,6 @@ class BlockSchedule:
     """Increasing block boundaries with convex gaps and the beta certificate."""
 
     bounds: np.ndarray  # N_1..N_R, int64
-    gaps_convex: bool
     log_beta_sq_sum: float
 
     def log_beta_sq_tail(self, from_level: int, weights: SymbolWeights) -> float:
@@ -369,13 +358,6 @@ class BlockSchedule:
             s = sigma[min(l, weights.length) - 1]
             total += 2.0 * gap * math.log(s)
         return total
-
-
-def _schedule_from_bounds(bounds: np.ndarray, w: SymbolWeights) -> BlockSchedule:
-    gaps = np.diff(bounds)
-    convex = bool(np.all(np.diff(gaps) > 0)) if len(gaps) >= 2 else True
-    schedule = BlockSchedule(bounds=bounds, gaps_convex=convex, log_beta_sq_sum=0.0)
-    return replace(schedule, log_beta_sq_sum=schedule.log_beta_sq_tail(1, w))
 
 
 def build_block_schedule(alpha: float, w: SymbolWeights, chain: GrowthChain, levels: int) -> BlockSchedule:
@@ -390,10 +372,8 @@ def build_block_schedule(alpha: float, w: SymbolWeights, chain: GrowthChain, lev
     only shrinks the tails further.  Boundaries are exact integers; one past
     the int64 range is an error.
     """
-    if levels == 0:
-        return _schedule_from_bounds(np.empty(0, dtype=np.int64), w)
-    if levels < 0:
-        raise ValueError("levels must be nonnegative")
+    if levels < 1:
+        raise ValueError(f"need at least one level, got {levels}")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     if alpha <= 1.0:
@@ -421,5 +401,6 @@ def build_block_schedule(alpha: float, w: SymbolWeights, chain: GrowthChain, lev
                 f"block boundary of level {l} passes the int64 range at alpha = {alpha!r}"
             )
         bounds.append(bound)
-    return _schedule_from_bounds(np.array(bounds, dtype=np.int64), w)
+    schedule = BlockSchedule(bounds=np.array(bounds, dtype=np.int64), log_beta_sq_sum=0.0)
+    return replace(schedule, log_beta_sq_sum=schedule.log_beta_sq_tail(1, w))
 

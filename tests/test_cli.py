@@ -218,6 +218,11 @@ class TestSchemas:
         ["support-probe", "--delta", "nan", "--R", 10],
         ["mw", "--n-grid", "1:1"],
         ["weights-check", "--alpha", "inf"],
+        ["clt", "--functional", "lin:-1=2", "--N", 8, "--R", 100],
+        ["clt", "--functional", "mono:(-1,)=1", "--N", 8, "--R", 100],
+        ["cov-decay", "--mc", "--functional", "mono:(0,-2)=1", "--depth", 8, "--R", 100, "--lags", "1:4"],
+        ["clt", "--functional", "lin:0=1,-1=2", "--N", 8, "--R", 100],
+        ["cov-decay", "--mc", "--R", 100, "--lags", "4:64:9"],
     ],
 )
 def test_unrunnable_input_exits_two(argv, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -58,3 +59,30 @@ def test_every_public_name_has_a_user():
         if n not in used and n not in UNUSED_ON_PURPOSE
     ]
     assert unused == []
+
+
+UNREAD_ON_PURPOSE = {
+    # the per-degree table of taylor_growth_certificate, kept for the same reason
+    "GrowthNormCertificate.per_degree",
+}
+
+
+def test_every_result_field_has_a_reader():
+    # matches by name only: a field whose name is read on some other object
+    # (alpha, kind, samples, intercept, mean, tail_bound) slips past this check
+    read = set()
+    for path in USERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and path.parent.name == "perfbench":
+                read.add(node.value)
+    unread = [
+        f"{cls.__name__}.{f.name}"
+        for name in MODULES
+        for cls in vars(importlib.import_module(name)).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == name
+        for f in dataclasses.fields(cls)
+        if f.name not in read and f"{cls.__name__}.{f.name}" not in UNREAD_ON_PURPOSE
+    ]
+    assert unread == []

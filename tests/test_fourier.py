@@ -40,13 +40,6 @@ class TestLinearTable:
             var, abs=1e-10
         )
 
-    def test_mean_uses_amplitude_mean(self, model2, basis40, weights40, amp_moments):
-        mean, _ = amp_moments
-        c = np.zeros(4)
-        c[3] = 2.0
-        t = linear_fourier_table(model2, basis40, c)
-        assert t.mean == pytest.approx(mean * 2.0 / model2.W[3], rel=1e-12)
-
     def test_operator_composition_translates_positions(self, model2, basis40):
         # composing with the operator pushes coefficient mass one step
         # deeper: (f o T)(x) = sum c_m (W_{m+1}/W_m) x_{m+1}, and its table

@@ -40,9 +40,8 @@ class TestGrowthChain:
 
     def test_squared_middle_over_outer_decays_monotonically(self, chain):
         ratio = chain.middle**2 / chain.outer
-        i0 = chain.ratio_monotone_from - 1
-        assert np.all(np.diff(ratio[i0:]) <= 1e-15)
-        assert ratio[-1] < ratio[i0]
+        assert np.all(np.diff(ratio) <= 1e-15)
+        assert ratio[-1] < ratio[0]
 
     def test_out_of_range_evaluation_rejected(self, chain):
         with pytest.raises(ValueError, match="outside"):
@@ -102,12 +101,10 @@ class TestConditionReport:
         p = 2.0 ** -np.arange(1, L + 1)
         w = wt.SymbolWeights(p=p / math.fsum(p.tolist()), d_max=1)
         fake = wt.GrowthChain(
-            kind="custom",
             k_max=K,
             outer=(1.0 + np.arange(1, K + 1)) ** 3,
             middle=1.0 + np.arange(1, K + 1, dtype=float),
             inner=1.0 + np.arange(1, K + 1, dtype=float),
-            ratio_monotone_from=1,
         )
         sched = wt.build_block_schedule(2.0, w, fake, levels=L)
         rep = wt.check_weight_conditions(w, fake, k_max=30, schedule=sched)
@@ -146,7 +143,6 @@ class TestBlockSchedule:
         sched = wt.build_block_schedule(2.0, weights40, chain, levels=20)
         gaps = np.diff(sched.bounds)
         assert np.all(np.diff(gaps) > 0)
-        assert sched.gaps_convex
 
     def test_beta_square_product_above_half(self, schedule40):
         assert math.exp(schedule40.log_beta_sq_sum) > 0.5
@@ -161,6 +157,6 @@ class TestBlockSchedule:
         with pytest.raises(ValueError, match=f"level \\d+ passes the int64 range at alpha = {alpha!r}"):
             wt.build_block_schedule(alpha, weights40, chain, levels=16)
 
-    def test_zero_levels_is_valid_and_empty(self, weights40, chain):
-        sched = wt.build_block_schedule(2.0, weights40, chain, levels=0)
-        assert len(sched.bounds) == 0
+    def test_zero_levels_rejected(self, weights40, chain):
+        with pytest.raises(ValueError, match="at least one level"):
+            wt.build_block_schedule(2.0, weights40, chain, levels=0)

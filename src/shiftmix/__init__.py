@@ -34,7 +34,6 @@ from .observables import (
     parse_observable,
     evaluate,
     exact_mean,
-    taylor_growth_certificate,
 )
 from .mixing import (
     empirical_covariance,

@@ -44,23 +44,16 @@ class TriangularBasis:
         row[l:] = self.off[l - 1]
         return row
 
-    def matrix(self) -> np.ndarray:
-        """All rows, shape (l_max + 1, L)."""
-        return np.vstack([self.value_row(l) for l in range(0, self.l_max + 1)])
-
     def gram_residual(self) -> float:
-        V = self.matrix()
+        V = np.vstack([self.value_row(l) for l in range(0, self.l_max + 1)])
         G = (V * self.weights.p) @ V.T
         return float(np.max(np.abs(G - np.eye(len(G)))))
 
     def l1_norms(self) -> np.ndarray:
         """Weighted l1 norm of each nonconstant basis function."""
-        p, q = self.weights.p, self.weights.tail
-        out = np.empty(self.l_max)
-        for l in range(1, self.l_max + 1):
-            q_next = self.weights.suffix(l + 1)
-            out[l - 1] = p[l - 1] * abs(self.diag[l - 1]) + q_next * abs(self.off[l - 1])
-        return out
+        n, w = self.l_max, self.weights
+        q_next = np.append(w.tail[1:], 0.0)[:n]  # q_{L+1} = 0: its mass is folded into p_L
+        return w.p[:n] * np.abs(self.diag) + q_next * np.abs(self.off)
 
 
 def build_basis(w: SymbolWeights) -> TriangularBasis:

@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -139,7 +140,7 @@ def _pick_functional(name: str, depth: int) -> observables.Observable:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: each returns (results dict, csv header, csv rows, passed)
+# experiment bodies: each returns (results, csv columns by header, passed, summary or None)
 
 
 def _run_weights_check(params):
@@ -163,11 +164,13 @@ def _run_weights_check(params):
         and all(v["converged"] for v in report.block_sum.values())
         and beta_sq > 0.5
     )
-    rows = []
-    for fit in (report.sqrt_moment, report.moment):
-        for kk, c in enumerate(fit.per_k, start=1):
-            rows.append(f"{fit.name},{kk},{float(c)!r}")
-    return results, "condition,k,constant", rows, passed
+    fits = (report.sqrt_moment, report.moment)
+    columns = {
+        "condition": [fit.name for fit in fits for _ in fit.per_k],
+        "k": [k for fit in fits for k in range(1, len(fit.per_k) + 1)],
+        "constant": np.concatenate([fit.per_k for fit in fits]),
+    }
+    return results, columns, passed, None
 
 
 def _run_basis_check(params):
@@ -175,16 +178,16 @@ def _run_basis_check(params):
     b = basis_mod.build_basis(w)
     gram = b.gram_residual()
     l1 = b.l1_norms()
-    ratios = l1 / np.sqrt(w.p[: b.l_max])
+    sqrt_p = np.sqrt(w.p[: b.l_max])
+    ratios = l1 / sqrt_p
     results = {
         "gram_residual": gram,
         "l1_constant": float(ratios.max()),
         "levels": b.l_max,
     }
     passed = gram < 1e-10 and float(ratios.max()) <= 4.0
-    rows = [f"{l},{l1[l-1]!r},{math.sqrt(w.p[l-1])!r}" for l in range(1, b.l_max + 1)]
-    print(f"max |Gram - I| = {gram:.3e}")
-    return results, "l,l1_norm,sqrt_p", rows, passed
+    columns = {"l": range(1, b.l_max + 1), "l1_norm": l1, "sqrt_p": sqrt_p}
+    return results, columns, passed, f"max |Gram - I| = {gram:.3e}"
 
 
 def _expected_slope(alpha: float) -> float | None:
@@ -238,17 +241,18 @@ def _run_cov_decay(params):
                 results["slope_mc"] = None
                 results["slope_mc_note"] = str(exc)
         passed = abs(fit.slope - expected) <= tol
-        print(f"fitted slope {fit.slope:.4f} +/- {fit.ci:.4f} (expected {expected:+.2f})")
+        summary = f"fitted slope {fit.slope:.4f} +/- {fit.ci:.4f} (expected {expected:+.2f})"
     else:
         lo, hi = mixing.log_lag_ratio_band(report)
         results.update({"ratio_band": [lo, hi], "band_factor": hi / lo})
         passed = hi / lo <= 2.0
-        print(f"cov*n/log(n+1) band [{lo:.4g}, {hi:.4g}] factor {hi/lo:.3f}")
+        summary = f"cov*n/log(n+1) band [{lo:.4g}, {hi:.4g}] factor {hi/lo:.3f}"
     if report.mc is not None and report.exact is not None:
         agree = np.all(np.abs(report.mc - report.exact) <= 3.0 * report.se)
         results["mc_exact_within_3se"] = bool(agree)
         passed = passed and bool(agree)
-    return results, "lag,cov,se,exact", list(report.csv_rows()), passed
+    columns = {"lag": report.lags, "cov": report.mc, "se": report.se, "exact": report.exact}
+    return results, columns, passed, summary
 
 
 def _run_clt(params):
@@ -272,12 +276,13 @@ def _run_clt(params):
         "sigma2_series": report.sigma2_series,
         "degenerate": report.degenerate,
     }
-    print(
+    summary = (
         f"KS {report.ks_distance:.4f} (limit {report.ks_limit:.4f}); "
         f"skew {report.skewness:+.4f}; exkurt {report.excess_kurtosis:+.4f}; "
         f"sigma2 {report.sigma2_hat:.5g} vs series {report.sigma2_series}"
     )
-    return results, "replica,value", list(report.csv_rows()), report.passed
+    columns = {"replica": range(len(report.samples)), "value": report.samples}
+    return results, columns, report.passed, summary
 
 
 def _run_mw(params):
@@ -311,14 +316,12 @@ def _run_mw(params):
         and peak_early
         and tail_spread < 2.0
     )
-    rows = [
-        f"{int(n)},{float(diag.known_sq[i])!r},{float(diag.residual_sq[i])!r},"
-        f"{float(diag.known_summand[i])!r},{float(diag.residual_summand[i])!r},"
-        f"{float(diag.known_partial[i])!r},{float(diag.residual_partial[i])!r}"
-        for i, n in enumerate(diag.n_grid)
-    ]
-    header = "n,known_sq,residual_sq,known_summand,residual_summand,known_partial,residual_partial"
-    return results, header, rows, passed
+    columns = {
+        "n": diag.n_grid, "known_sq": diag.known_sq, "residual_sq": diag.residual_sq,
+        "known_summand": diag.known_summand, "residual_summand": diag.residual_summand,
+        "known_partial": diag.known_partial, "residual_partial": diag.residual_partial,
+    }
+    return results, columns, passed, None
 
 
 def _run_facts(params):
@@ -333,11 +336,8 @@ def _run_facts(params):
         "fact2_ok": all(l <= r for _, l, r in f2),
     }
     passed = fc.regime_spread() < 2.0 and results["fact2_ok"]
-    rows = [
-        f"{int(n)},{float(fc.lhs[i])!r},{float(fc.c_stated[i])!r},{float(fc.c_regime[i])!r}"
-        for i, n in enumerate(fc.n_grid)
-    ]
-    return results, "n,lhs,c_stated,c_regime", rows, passed
+    columns = {"n": fc.n_grid, "lhs": fc.lhs, "c_stated": fc.c_stated, "c_regime": fc.c_regime}
+    return results, columns, passed, None
 
 
 def _run_halfplane_decay(params):
@@ -348,12 +348,9 @@ def _run_halfplane_decay(params):
         "guaranteed": fit.guaranteed,
     }
     passed = 0.9 <= fit.exponent <= 1.1 and fit.exponent >= fit.guaranteed
-    rows = [
-        f"{int(k)},{float(fit.norms[i])!r},{float(fit.errors[i])!r}"
-        for i, k in enumerate(fit.ks)
-    ]
-    print(f"fitted decay exponent {fit.exponent:.4f} (guaranteed {fit.guaranteed:.4f})")
-    return results, "k,norm,error_estimate", rows, passed
+    columns = {"k": fit.ks, "norm": fit.norms, "error_estimate": fit.errors}
+    summary = f"fitted decay exponent {fit.exponent:.4f} (guaranteed {fit.guaranteed:.4f})"
+    return results, columns, passed, summary
 
 
 def _run_envelope_check(params):
@@ -369,8 +366,13 @@ def _run_envelope_check(params):
         "neighbor_counts_ok": counts_ok,
     }
     passed = max(ratios) / min(ratios) <= 1.5 and counts_ok
-    rows = [f"{c.k_max},{c.lhs!r},{c.rhs!r},{c.ratio!r}" for c in checks]
-    return results, "k_max,lhs,rhs,ratio", rows, passed
+    columns = {
+        "k_max": [c.k_max for c in checks],
+        "lhs": [c.lhs for c in checks],
+        "rhs": [c.rhs for c in checks],
+        "ratio": ratios,
+    }
+    return results, columns, passed, None
 
 
 def _run_support_probe(params):
@@ -381,19 +383,21 @@ def _run_support_probe(params):
         ("seed2-depth1", shift.apply_section(model, 2, 1)),
     ]
     state = sampling.SamplerState(params["seed"])
-    rows, results, passed = [], {}, True
+    columns = {"target": [name for name, _ in targets], "empirical": [], "analytic": []}
+    results, passed = {}, True
     for i, (name, target) in enumerate(targets):
         rep = sampling.support_probe(
             model, w, target, params["delta"], params["R"], state.substream(i), params["workers"]
         )
-        rows.append(f"{name},{rep.empirical!r},{rep.analytic_lower_bound!r}")
+        columns["empirical"].append(rep.empirical)
+        columns["analytic"].append(rep.analytic_lower_bound)
         results[name] = {
             "empirical": rep.empirical,
             "analytic": rep.analytic_lower_bound,
             "hits": rep.hits,
         }
         passed = passed and rep.empirical > 0 and rep.analytic_lower_bound > 0
-    return results, "target,empirical,analytic", rows, passed
+    return results, columns, passed, None
 
 
 _STACK = ("growth", "d_max", "L", "alpha", "p_exp", "depth")
@@ -413,12 +417,27 @@ _SCHEMAS = {
 }
 
 
+def _cell(v) -> str:
+    """One data.csv field: strings and integers as they are, other numbers as
+    the repr of a Python float."""
+    return str(v) if isinstance(v, (str, int, np.integer)) else repr(float(v))
+
+
+def _csv_text(digest: str, columns: dict) -> str:
+    """The manifest hash, the header and one row per index of the columns; a
+    column given as None is written as empty fields."""
+    n = max((len(c) for c in columns.values() if c is not None), default=0)
+    cells = [[""] * n if c is None else [_cell(v) for v in c] for c in columns.values()]
+    rows = (",".join(row) for row in zip(*cells))
+    return "\n".join([f"# manifest_hash={digest}", ",".join(columns), *rows]) + "\n"
+
+
 def run_experiment(experiment: str, params: dict) -> int:
     replay = canonical_manifest(experiment, params)
     digest = hashlib.sha256(replay.encode()).hexdigest()
     out = Path(params["out"])
     out.mkdir(parents=True, exist_ok=True)
-    results, header, rows, passed = _SCHEMAS[experiment][0](params)
+    results, columns, passed, summary = _SCHEMAS[experiment][0](params)
 
     (out / "manifest.replay").write_text(replay)
     report = {
@@ -429,9 +448,14 @@ def run_experiment(experiment: str, params: dict) -> int:
         "passed": passed,
     }
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    csv_lines = [f"# manifest_hash={digest}", header, *rows]
-    (out / "data.csv").write_text("\n".join(csv_lines) + "\n")
-    print(f"{experiment}: {'PASS' if passed else 'FAIL'} -> {out}")
+    (out / "data.csv").write_text(_csv_text(digest, columns))
+    verdict = f"{experiment}: {'PASS' if passed else 'FAIL'} -> {out}"
+    try:
+        print(*filter(None, (summary, verdict)), sep="\n", flush=True)
+    except BrokenPipeError:
+        # a reader that went away changes no artifact and no exit code; stdout
+        # now points at devnull, so the interpreter's last flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if passed else 1
 
 

@@ -67,13 +67,6 @@ class DecayReport:
             return np.abs(self.exact) > 0
         return np.abs(self.mc) > 10.0 * self.se
 
-    def csv_rows(self):
-        for i, lag in enumerate(self.lags):
-            mc = repr(float(self.mc[i])) if self.mc is not None else ""
-            se = repr(float(self.se[i])) if self.se is not None else ""
-            ex = repr(float(self.exact[i])) if self.exact is not None else ""
-            yield f"{lag},{mc},{se},{ex}"
-
 
 def empirical_covariance(
     model: ShiftModel,
@@ -82,7 +75,7 @@ def empirical_covariance(
     obs_g: Observable,
     lags: np.ndarray,
     n_samples: int,
-    depth: int | None = None,
+    depth: int,
     *,
     state: SamplerState,
     workers: int = 1,
@@ -96,8 +89,6 @@ def empirical_covariance(
     """
     lags = np.asarray(sorted(int(x) for x in lags))
     support = max(obs_f.support_depth, obs_g.support_depth)
-    if depth is None:
-        depth = support
     if depth < support:
         raise ValueError(f"depth {depth} below observable support {support}")
     max_lag = int(lags.max())
@@ -230,10 +221,6 @@ class CltReport:
             ok = ok and abs(self.sigma2_hat - self.sigma2_series) <= 0.1 * self.sigma2_series
         return ok
 
-    def csv_rows(self):
-        for r, v in enumerate(self.samples):
-            yield f"{r},{float(v)!r}"
-
 
 def _ks_fitted_normal(samples: np.ndarray) -> float:
     n = len(samples)
@@ -254,11 +241,12 @@ def clt_experiment(
 ) -> CltReport:
     """Distribution of normalized Birkhoff sums over independent replicas.
 
-    The observable must be centered (exact mean zero), and the decay
-    exponent must exceed 1, the proven regime.  Each replica draws a fresh
-    stream; for linear observables the whole Birkhoff sum is one dot product
-    against a precomputed kernel, for the others one evaluation of every
-    step's window of a block of replicas at once.
+    The observable must be centered (exact mean zero), a linear one must fit
+    the model depth, and the decay exponent must exceed 1, the proven regime.
+    Each replica draws a fresh stream; for linear observables the whole
+    Birkhoff sum is one dot product against a precomputed kernel, for the
+    others one evaluation of every step's window of a block of replicas at
+    once.
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas for a usable distribution test")
@@ -266,6 +254,8 @@ def clt_experiment(
         raise ValueError("need at least one Birkhoff step")
     if model.alpha <= 1.0:
         raise ValueError(f"clt needs alpha > 1, the proven regime; got alpha = {model.alpha!r}")
+    if obs.kind == "linear" and obs.support_depth > model.depth:
+        raise ValueError(f"depth {model.depth} below observable support {obs.support_depth}")
     mu = exact_mean(obs, model, w)
     if abs(mu) > 1e-9:
         raise ValueError(f"observable mean {mu!r} is not zero; center it first")

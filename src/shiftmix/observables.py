@@ -5,20 +5,18 @@ Every observable evaluates on realized vectors, one at a time with
 :func:`evaluate_windows`, which gives the same numbers.  Polynomial observables
 also expose exact means under the invariant measure (coordinates are
 independent under the pullback, so means reduce to moments of the seed
-amplitude distribution), and upper bounds for the derivative-growth norm
-that decides membership in the regularity class of an outer growth scale.
+amplitude distribution).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .shift import LpVector, ShiftModel, row_norms
-from .weights import GrowthChain, SymbolWeights
+from .weights import SymbolWeights
 
 __all__ = [
     "Observable",
@@ -30,8 +28,6 @@ __all__ = [
     "evaluate_windows",
     "exact_mean",
     "with_exact_mean_subtracted",
-    "GrowthNormCertificate",
-    "taylor_growth_certificate",
 ]
 
 
@@ -42,15 +38,6 @@ class Observable:
     terms: tuple[tuple[float, tuple[int, ...]], ...] | None = None
     power: int | None = None
     mean_shift: float = 0.0
-
-    @property
-    def degree(self) -> int | None:
-        """Polynomial degree, or None for non-polynomial kinds."""
-        if self.kind == "linear":
-            return 1
-        if self.kind == "monomials":
-            return max((len(ix) for _, ix in self.terms), default=0)
-        return None
 
     @property
     def support_depth(self) -> int:
@@ -202,51 +189,4 @@ def exact_mean(obs: Observable, model: ShiftModel, w: SymbolWeights) -> float:
 def with_exact_mean_subtracted(obs: Observable, model: ShiftModel, w: SymbolWeights) -> Observable:
     mu = exact_mean(obs, model, w) + obs.mean_shift
     return replace(obs, mean_shift=mu)
-
-
-@dataclass(frozen=True)
-class GrowthNormCertificate:
-    """Per-degree derivative-norm bounds and the certified norm value.
-
-    ``per_degree[k]`` bounds the norm of the k-th derivative at zero; the
-    certificate is ``max_k per_degree[k] * outer(k)^k``.  For linear
-    observables the degree-1 entry is the exact dual norm, so the
-    certificate is exact; otherwise it is an upper bound (coefficient
-    l1 mass times factorial).
-    """
-
-    per_degree: np.ndarray
-    value: float
-    exact: bool
-
-
-def taylor_growth_certificate(
-    obs: Observable, chain: GrowthChain, p_exp: float = 2.0
-) -> GrowthNormCertificate:
-    if obs.kind == "norm_power":
-        raise ValueError(
-            "norm powers are not analytic observables; they live in L2 only"
-        )
-    if obs.kind == "linear":
-        if p_exp == 1.0:
-            dual = float(np.max(np.abs(obs.coefs)))
-        else:
-            q = p_exp / (p_exp - 1.0)
-            dual = float(np.sum(np.abs(obs.coefs) ** q) ** (1.0 / q))
-        per = np.array([abs(obs.mean_shift), dual])
-        exact = True
-    else:
-        deg = obs.degree
-        per = np.zeros(deg + 1)
-        per[0] = abs(obs.mean_shift)
-        for c, ix in obs.terms:
-            per[len(ix)] += abs(c)
-        for k in range(2, deg + 1):
-            per[k] *= math.factorial(k)
-        exact = False
-    value = 0.0
-    for k, u in enumerate(per):
-        factor = 1.0 if k == 0 else chain.outer_at(k) ** k
-        value = max(value, u * factor)
-    return GrowthNormCertificate(per_degree=per, value=value, exact=exact)
 

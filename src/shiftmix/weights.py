@@ -2,12 +2,11 @@
 
 These three objects parametrize the invariant measure used everywhere else:
 
-* :class:`GrowthChain` holds three nested growth scales on the positive
-  integers.  The *outer* scale bounds how fast observable derivatives may
-  grow, the *inner* scale caps seed amplitudes and drives the symbol-weight
-  recursion, and the *middle* scale sits between them so that the pairing
-  inequality ``inner(k+k')^(k+k') <= middle(k)^k * middle(k')^k'`` holds for
-  every pair.
+* :class:`GrowthChain` holds two growth scales on the positive integers,
+  derived from an *outer* one.  The *inner* scale caps seed amplitudes and
+  drives the symbol-weight recursion, and the *middle* scale sits between
+  inner and outer so that the pairing inequality
+  ``inner(k+k')^(k+k') <= middle(k)^k * middle(k')^k'`` holds for every pair.
 * :class:`SymbolWeights` is a strictly decreasing probability vector
   ``p_1..p_L`` over symbol indices, built so that several summability
   conditions hold with small explicit constants.
@@ -56,27 +55,21 @@ _INT64_END = 2**63  # first integer past the int64 range of block boundaries
 
 @dataclass(frozen=True)
 class GrowthChain:
-    """Three nested growth scales tabulated on ``1..k_max``.
+    """The middle and inner growth scales derived from an outer one,
+    tabulated on ``1..k_max``.
 
-    Arrays are 1-indexed conceptually: ``outer[i]`` is the value at
-    ``kappa = i + 1``.  Use the ``*_at`` accessors.
+    Arrays are 1-indexed conceptually: ``inner[i]`` is the value at
+    ``kappa = i + 1``, which ``inner_at`` reads.
     """
 
     k_max: int
-    outer: np.ndarray
     middle: np.ndarray
     inner: np.ndarray
 
-    def _at(self, arr: np.ndarray, k: int) -> float:
+    def inner_at(self, k: int) -> float:
         if not 1 <= k <= self.k_max:
             raise ValueError(f"growth scale evaluated at {k}, outside [1, {self.k_max}]")
-        return float(arr[k - 1])
-
-    def outer_at(self, k: int) -> float:
-        return self._at(self.outer, k)
-
-    def inner_at(self, k: int) -> float:
-        return self._at(self.inner, k)
+        return float(self.inner[k - 1])
 
     def pairing_margin(self) -> float:
         """Worst log-slack of the pairing inequality over all k + k' <= k_max.
@@ -142,7 +135,7 @@ def build_growth_chain(outer: str | Callable[[int], float], k_max: int = 128) ->
     if ratio[-1] >= ratio[monotone_from]:
         raise ValueError("middle^2/outer does not decay over the tabulated range")
 
-    chain = GrowthChain(k_max=k_max, outer=vals, middle=middle, inner=inner)
+    chain = GrowthChain(k_max=k_max, middle=middle, inner=inner)
     margin = chain.pairing_margin()
     if margin > 1e-12:
         raise ValueError(f"pairing inequality violated with log margin {margin:.3e}")
@@ -177,12 +170,6 @@ class SymbolWeights:
         object.__setattr__(self, "log_p", np.log(self.p))
         object.__setattr__(self, "tail", np.cumsum(self.p[::-1])[::-1])
         object.__setattr__(self, "length", len(self.p))
-
-    def suffix(self, l: int) -> float:
-        """q_l for 1 <= l <= length + 1 (q_{L+1} = 0, its mass is folded into p_L)."""
-        if l == self.length + 1:
-            return 0.0
-        return float(self.tail[l - 1])
 
     def tail_ratios(self) -> np.ndarray:
         """sum_{m>l} p_m / p_l for l = 1..L-1."""

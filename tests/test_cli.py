@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shiftmix
 from shiftmix.cli import _EXECUTION, _FIELDS, _SCHEMAS, ManifestError, _parse_grid, main, parse_manifest
 from shiftmix.weights import GROWTH_FUNCTIONS
 
@@ -138,6 +144,25 @@ class TestArtifacts:
             for name in ("data.csv", "report.json", "manifest.replay"):
                 assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_closed_stdout_keeps_exit_code_and_artifacts(self, tmp_path):
+        # -u writes each line at once, so the first print meets the closed pipe
+        args = ["clt", "--N", "64", "--R", "200"]
+        code = run([*args, "--out", tmp_path / "open"])
+        src = str(Path(shiftmix.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-u", "-m", "shiftmix.cli", *args, "--out", str(tmp_path / "closed")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, b"")
+        for name in ("report.json", "data.csv", "manifest.replay"):
+            assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "open" / name).read_bytes()
+
     def test_cov_decay_mc_emits_all_columns(self, tmp_path):
         # artifact-shape check only; the short lag grid is no basis for a
         # verdict on the decay regime, so the exit code is not pinned here
@@ -178,6 +203,14 @@ class TestSchemas:
         schema = set(_SCHEMAS[experiment][1]) - set(_EXECUTION)
         assert keys == {f for f in schema if _FIELDS[f][1] is not None}
         assert set(json.loads((out / "report.json").read_text())["params"]) == keys
+        header, *rows = (out / "data.csv").read_text().splitlines()[1:]
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == len(header.split(","))
+            for field in fields:
+                assert "np." not in field
+                if field and not re.fullmatch(r"[a-z][a-z0-9_-]*", field):
+                    float(field)
 
     def test_flag_outside_the_schema_is_refused(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

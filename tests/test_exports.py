@@ -35,11 +35,6 @@ USERS = [
     *(ROOT / "perfbench").glob("*.py"),
     ROOT / "tests" / "test_acceptance.py",
 ]
-UNUSED_ON_PURPOSE = {
-    # certifies that an observable lies in the regularity class of the outer
-    # growth scale, the hypothesis of the CLT; its report in clt is planned
-    "taylor_growth_certificate",
-}
 
 
 def test_every_public_name_has_a_user():
@@ -56,15 +51,9 @@ def test_every_public_name_has_a_user():
         f"{name}.{n}"
         for name in MODULES
         for n in getattr(importlib.import_module(name), "__all__", ())
-        if n not in used and n not in UNUSED_ON_PURPOSE
+        if n not in used
     ]
     assert unused == []
-
-
-UNREAD_ON_PURPOSE = {
-    # the per-degree table of taylor_growth_certificate, kept for the same reason
-    "GrowthNormCertificate.per_degree",
-}
 
 
 def test_every_result_field_has_a_reader():
@@ -83,6 +72,6 @@ def test_every_result_field_has_a_reader():
         for cls in vars(importlib.import_module(name)).values()
         if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == name
         for f in dataclasses.fields(cls)
-        if f.name not in read and f"{cls.__name__}.{f.name}" not in UNREAD_ON_PURPOSE
+        if f.name not in read
     ]
     assert unread == []

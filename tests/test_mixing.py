@@ -71,7 +71,7 @@ class TestEmpiricalCovariance:
         obs = monomial_sum([(1.0, (0, 1)), (0.5, (3, 3))])
         lags = [1, 3]
         rep = mixing.empirical_covariance(
-            model, weights40, obs, obs, np.array(lags), 300, state=SamplerState(2)
+            model, weights40, obs, obs, np.array(lags), 300, depth=3, state=SamplerState(2)
         )
         mat = sample_symbol_matrix(weights40, 300, 7, SamplerState(2).substream(0))
 
@@ -217,6 +217,11 @@ class TestClt:
         obs = with_exact_mean_subtracted(linear_functional([1.0]), slow, weights40)
         with pytest.raises(ValueError, match="needs alpha > 1"):
             mixing.clt_experiment(slow, weights40, obs, 64, 200, SamplerState(1))
+
+    def test_linear_form_deeper_than_the_model_rejected(self, model2, weights40):
+        obs = with_exact_mean_subtracted(linear_functional(np.eye(301)[300]), model2, weights40)
+        with pytest.raises(ValueError, match="depth 256 below observable support 300"):
+            mixing.clt_experiment(model2, weights40, obs, 64, 200, SamplerState(1))
 
 
 class TestConditionalNorms:

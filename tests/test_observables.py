@@ -11,7 +11,6 @@ from shiftmix.observables import (
     monomial_sum,
     norm_power,
     parse_observable,
-    taylor_growth_certificate,
     with_exact_mean_subtracted,
 )
 from shiftmix.sampling import SamplerState, SymbolWindow, sample_symbol_matrix, window_vector
@@ -162,30 +161,4 @@ class TestExactMean:
     def test_norm_power_mean_rejected(self, model2, weights40):
         with pytest.raises(ValueError, match="norm powers"):
             exact_mean(norm_power(2), model2, weights40)
-
-
-class TestGrowthCertificate:
-    def test_constant_certifies_to_its_size(self, chain):
-        cert = taylor_growth_certificate(monomial_sum([(1.0, ())]), chain)
-        assert cert.value == 1.0
-
-    def test_point_functional_is_exact(self, chain):
-        cert = taylor_growth_certificate(linear_functional([1.0]), chain)
-        assert cert.exact
-        assert cert.value == pytest.approx(math.log(1.0 + math.e), rel=1e-15)
-
-    def test_dual_norm_for_hilbert_exponent(self, chain):
-        cert = taylor_growth_certificate(linear_functional([3.0, 4.0]), chain)
-        assert cert.per_degree[1] == pytest.approx(5.0, rel=1e-15)
-
-    def test_degree_two_takes_the_larger_term(self, chain):
-        obs = monomial_sum([(1.0, (0,)), (2.0, (0, 1))])
-        cert = taylor_growth_certificate(obs, chain)
-        d1 = 1.0 * chain.outer_at(1)
-        d2 = 2.0 * 2.0 * chain.outer_at(2) ** 2  # 2! coefficient mass
-        assert cert.value == pytest.approx(max(d1, d2), rel=1e-12)
-
-    def test_norm_power_rejected(self, chain):
-        with pytest.raises(ValueError, match="L2"):
-            taylor_growth_certificate(norm_power(2), chain)
 

@@ -39,7 +39,8 @@ class TestGrowthChain:
         assert np.all(chain.middle[1:] <= 2.0 * chain.middle[:-1] + 1e-15)
 
     def test_squared_middle_over_outer_decays_monotonically(self, chain):
-        ratio = chain.middle**2 / chain.outer
+        outer = np.array([wt.GROWTH_FUNCTIONS["log"](k) for k in range(1, chain.k_max + 1)])
+        ratio = chain.middle**2 / outer
         assert np.all(np.diff(ratio) <= 1e-15)
         assert ratio[-1] < ratio[0]
 
@@ -102,7 +103,6 @@ class TestConditionReport:
         w = wt.SymbolWeights(p=p / math.fsum(p.tolist()), d_max=1)
         fake = wt.GrowthChain(
             k_max=K,
-            outer=(1.0 + np.arange(1, K + 1)) ** 3,
             middle=1.0 + np.arange(1, K + 1, dtype=float),
             inner=1.0 + np.arange(1, K + 1, dtype=float),
         )

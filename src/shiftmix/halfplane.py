@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .mixing import log_log_fit
 
@@ -84,6 +83,8 @@ def h2_norm(
     integrand is handled by dedicated infinite-range quadrature.  Raises if
     the combined error estimate cannot meet the tolerance.
     """
+    from scipy.integrate import quad  # imported here so that start-up skips scipy
+
     if config is None:
         config = QuadratureConfig()
     pts = sorted(set(breakpoints) | ({f.peak} if isinstance(f, DecayedFunction) else set()) | {0.0})

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .basis import build_basis
 from .fourier import FourierTable, exact_covariance, linear_fourier_table
@@ -223,6 +222,8 @@ class CltReport:
 
 
 def _ks_fitted_normal(samples: np.ndarray) -> float:
+    from scipy.special import ndtr  # imported here so that start-up skips scipy
+
     n = len(samples)
     z = np.sort((samples - samples.mean()) / samples.std(ddof=1))
     F = ndtr(z)
@@ -450,6 +451,8 @@ def window_tail_constants(alpha: float, n_grid) -> FactConstants:
     saturates to a constant once a > 3/2, so the logarithmic envelope is
     loose there and its fitted constant decays).
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     if alpha <= 1.0:
         raise ValueError("needs a decay exponent above 1")
     n_grid = np.asarray(sorted(int(n) for n in n_grid))

@@ -79,13 +79,10 @@ class ShiftModel:
     seed_values: np.ndarray
     chain: GrowthChain
     # seed amplitudes padded so symbol arrays can fancy-index directly
-    symbol_alpha: np.ndarray = field(repr=False, default=None)
+    symbol_alpha: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.symbol_alpha is None:
-            object.__setattr__(
-                self, "symbol_alpha", np.concatenate([[0.0], self.seed_values])
-            )
+        object.__setattr__(self, "symbol_alpha", np.concatenate([[0.0], self.seed_values]))
 
     @property
     def n_seeds(self) -> int:
@@ -130,6 +127,10 @@ def canonical_shift(
         raise ValueError("alpha must exceed 1/2 for the covariance decay regimes")
     if p_exp < 1.0:
         raise ValueError("p_exp must be at least 1")
+    try:
+        float(depth) ** alpha
+    except OverflowError:
+        raise ValueError(f"W_m = m**alpha overflows at alpha = {alpha!r}, depth = {depth}") from None
     W = np.arange(0, depth + 1, dtype=float) ** alpha
     W[0] = 1.0
     seeds = enumerate_seed_values(chain, 64, p_exp)

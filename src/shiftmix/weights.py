@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "GrowthChain",
@@ -185,6 +184,16 @@ _BASE_RATIO = 1.0 / 256.0
 _RATIO_DECAY = 0.7
 
 
+def _logsumexp(u: np.ndarray) -> np.float64:
+    """``scipy.special.logsumexp`` of a finite 1-D array, bit for bit: the m maximal
+    terms are split off as ``log1p(s / m) + log(m) + max``, s the sum of the rest."""
+    top = u.max()
+    at_top = u == top
+    m = np.float64(np.count_nonzero(at_top))
+    s = np.exp(np.where(at_top, -np.inf, u) - top).sum()
+    return np.log1p(s / m) + np.log(m) + top
+
+
 def build_symbol_weights(chain: GrowthChain, d_max: int = 3, length: int = 40) -> SymbolWeights:
     """Build the symbol-weight vector from the inner growth scale.
 
@@ -214,7 +223,7 @@ def build_symbol_weights(chain: GrowthChain, d_max: int = 3, length: int = 40) -
             if l + 1 >= 2 * d:
                 u[l] = min(u[l], -4.0 * d * log_in[l])
 
-    u -= logsumexp(u)
+    u -= _logsumexp(u)
     if u[-1] <= _MIN_LOG + 2.0:
         raise ValueError(
             f"p_{length} would underflow (log {u[-1]:.1f}); use a smaller length"

@@ -22,6 +22,12 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def _child_env():
+    """The environment of a child Python that imports this ``shiftmix``."""
+    src = str(Path(shiftmix.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 class TestManifest:
     def test_roundtrip_via_file(self, tmp_path):
         m = tmp_path / "m.txt"
@@ -148,20 +154,29 @@ class TestArtifacts:
         # -u writes each line at once, so the first print meets the closed pipe
         args = ["clt", "--N", "64", "--R", "200"]
         code = run([*args, "--out", tmp_path / "open"])
-        src = str(Path(shiftmix.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
                 [sys.executable, "-u", "-m", "shiftmix.cli", *args, "--out", str(tmp_path / "closed")],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+                stdout=write_end, stderr=subprocess.PIPE, env=_child_env(), timeout=120,
             )
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (code, b"")
         for name in ("report.json", "data.csv", "manifest.replay"):
             assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "open" / name).read_bytes()
+
+    def test_rerun_over_longer_files_writes_the_same_bytes(self, tmp_path):
+        # artifacts are written in place and cut to length, not truncated first
+        args = ["mw", "--n-grid", "4:64"]
+        assert run([*args, "--out", tmp_path / "fresh"]) == 0
+        (tmp_path / "old").mkdir()
+        for name in ("report.json", "data.csv", "manifest.replay"):
+            (tmp_path / "old" / name).write_text("x" * 100_000)
+        assert run([*args, "--out", tmp_path / "old"]) == 0
+        for name in ("report.json", "data.csv", "manifest.replay"):
+            assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
     def test_cov_decay_mc_emits_all_columns(self, tmp_path):
         # artifact-shape check only; the short lag grid is no basis for a
@@ -176,6 +191,26 @@ class TestArtifacts:
         assert rows[1] == "lag,cov,se,exact"
         first = rows[2].split(",")
         assert len(first) == 4 and all(field for field in first)
+
+
+def test_start_up_loads_no_scipy(tmp_path):
+    # the import, the benchmark's set-up stack and an exact call
+    child = (
+        "import sys\n"
+        "import shiftmix.cli\n"
+        "from shiftmix import basis, shift, weights\n"
+        "chain = weights.build_growth_chain('log', 128)\n"
+        "w = weights.build_symbol_weights(chain, d_max=3, length=40)\n"
+        "shift.canonical_shift(2.0, 2.0, depth=256, chain=chain)\n"
+        "basis.build_basis(w)\n"
+        "code = shiftmix.cli.main(['cov-decay', '--exact', '--depth', '4096', '--out', sys.argv[1]])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(tmp_path / "o")],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
 
 # one small run per subcommand; no depth flag, so depth stays unset
@@ -256,10 +291,19 @@ class TestSchemas:
         ["cov-decay", "--mc", "--functional", "mono:(0,-2)=1", "--depth", 8, "--R", 100, "--lags", "1:4"],
         ["clt", "--functional", "lin:0=1,-1=2", "--N", 8, "--R", 100],
         ["cov-decay", "--mc", "--R", 100, "--lags", "4:64:9"],
+        ["facts", "--alpha", "nan"],
+        ["facts", "--alpha", "inf"],
+        ["support-probe", "--alpha", 400, "--R", 10],
+        ["clt", "--alpha", 400, "--N", 64, "--R", 100],
+        ["mw", "--alpha", 400],
+        ["cov-decay", "--exact", "--alpha", 400],
     ],
 )
 def test_unrunnable_input_exits_two(argv, tmp_path, capsys):
-    assert run([*argv, "--out", tmp_path / "o"]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([*argv, "--out", tmp_path / "o"]) == 2
+    assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err.startswith("error:")
 
 

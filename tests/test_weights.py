@@ -84,6 +84,42 @@ class TestSymbolWeights:
             wt.build_symbol_weights(big, d_max=3, length=100)
 
 
+class TestLogSumExp:
+    """The local logsumexp gives scipy's bits, so the weights do not move."""
+
+    def test_bits_match_scipy(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(7)
+        vectors = [np.array([x]) for x in (0.0, -3.5, 700.0)]
+        vectors += [np.full(5, -2.25), np.array([1.0, 1.0, -700.0]), np.array([-700.0, 0.0])]
+        for _ in range(200):
+            u = rng.uniform(-700.0, 0.0, int(rng.integers(1, 80))) * rng.uniform()
+            vectors.append(u)
+            tied = u.copy()
+            tied[rng.integers(0, len(u), 3)] = u.max()
+            vectors.append(np.round(tied))
+        for u in vectors:
+            assert wt._logsumexp(u) == logsumexp(u), u
+
+    def test_weights_match_with_scipy_patched_in(self, monkeypatch):
+        from scipy.special import logsumexp
+
+        chains = {name: wt.build_growth_chain(name) for name in wt.GROWTH_FUNCTIONS}
+        built = {}
+        for name, c in chains.items():
+            for d in (1, 2, 3):
+                for L in range(2 * d, c.k_max + 1):
+                    try:
+                        built[name, d, L] = wt.build_symbol_weights(c, d, L).p
+                    except ValueError:  # underflow: longer vectors underflow too
+                        break
+        assert min(L for _, _, L in built) == 2 and max(L for _, _, L in built) > 40
+        monkeypatch.setattr(wt, "_logsumexp", logsumexp)
+        for (name, d, L), p in built.items():
+            assert np.array_equal(wt.build_symbol_weights(chains[name], d, L).p, p), (name, d, L)
+
+
 @pytest.fixture(scope="module")
 def schedule40(weights40, chain):
     return wt.build_block_schedule(2.0, weights40, chain, levels=40)

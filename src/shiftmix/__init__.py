@@ -32,7 +32,6 @@ from .observables import (
     monomial_sum,
     norm_power,
     parse_observable,
-    evaluate,
     exact_mean,
 )
 from .mixing import (

@@ -11,7 +11,6 @@ is one.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from dataclasses import dataclass
@@ -26,13 +25,16 @@ class TriangularBasis:
     """Values of the triangular basis over symbols ``1..L``.
 
     ``diag[l-1]`` is the value at u = l and ``off[l-1]`` the common value on
-    u > l, for l = 1..l_max.  Index 0 is the constant function 1.
+    u > l, for l = 1..l_max = L - 1.  Index 0 is the constant function 1.
     """
 
     weights: SymbolWeights
     diag: np.ndarray
     off: np.ndarray
-    l_max: int
+
+    @property
+    def l_max(self) -> int:
+        return self.weights.length - 1
 
     def value_row(self, l: int) -> np.ndarray:
         """Values over u = 1..L as an array."""
@@ -61,27 +63,17 @@ def build_basis(w: SymbolWeights) -> TriangularBasis:
 
     Closed form: with ``q_l`` the suffix sums, function l takes
     ``sqrt(q_{l+1} / (p_l q_l))`` at l and ``-sqrt(p_l / (q_{l+1} q_l))``
-    above l.  If a suffix sum underflows to zero the basis is truncated at
-    that index with a warning; the remaining functions are still an
-    orthonormal family.
+    above l.  Every suffix sum is at least ``p_L > 0``, so all L - 1
+    functions exist.
     """
     L = w.length
-    diag = np.empty(max(L - 1, 0))
-    off = np.empty(max(L - 1, 0))
-    l_max = L - 1
+    diag = np.empty(L - 1)
+    off = np.empty(L - 1)
     for l in range(1, L):
-        q_l = float(w.tail[l - 1])
-        q_next = float(w.tail[l])
-        if q_next <= 0.0 or q_l <= 0.0:
-            warnings.warn(
-                f"suffix sum vanished at level {l}; basis truncated", RuntimeWarning
-            )
-            l_max = l - 1
-            break
         # products like p_l * q_l sink into subnormals long before the
         # factors do; combine exponents in log space instead
         log_p = float(w.log_p[l - 1])
-        log_q, log_q_next = math.log(q_l), math.log(q_next)
+        log_q, log_q_next = math.log(w.tail[l - 1]), math.log(w.tail[l])
         diag[l - 1] = math.exp(0.5 * (log_q_next - log_p - log_q))
         off[l - 1] = -math.exp(0.5 * (log_p - log_q_next - log_q))
-    return TriangularBasis(weights=w, diag=diag[:l_max], off=off[:l_max], l_max=l_max)
+    return TriangularBasis(weights=w, diag=diag, off=off)

@@ -7,7 +7,8 @@ none naming a field the experiment does not read), then explicit flags, and
 writes ``report.json`` (summary and pass flags), ``data.csv`` (per-point
 numbers) and ``manifest.replay`` (the canonical manifest that reproduces the
 run byte for byte).  The exit status is 0 exactly when every contracted
-tolerance holds, and 2 for an input that cannot be run.
+tolerance holds, 1 when one fails, and 2 for an input that cannot be run or
+a run that crashes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -515,6 +517,10 @@ def main(argv: list[str] | None = None) -> int:
         return run_experiment(args.experiment, params)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash is a defect; exit 1 is kept for a failed tolerance
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

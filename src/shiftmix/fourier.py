@@ -132,21 +132,19 @@ def mc_fourier_coefficient(
 
 
 def exact_covariance(table_f: FourierTable, table_g: FourierTable, lag: int) -> float:
-    """Coefficient convolution ``sum a[l, j] b[l, j - lag]``.
+    """Coefficient convolution ``sum a[l, j] b[l, j - lag]`` at a lag ``>= 0``.
 
     For two factorized tables this reduces to
     ``(sum_l A_l B_l) * sum_m cf_m cg_{m+lag} / (W_m W_{m+lag})``, which is
     exact for the truncated functionals.
     """
+    if lag < 0:
+        raise ValueError(f"lag must be nonnegative, got {lag}")
     n = min(len(table_f.level_factors), len(table_g.level_factors))
     amp = float(np.dot(table_f.level_factors[:n], table_g.level_factors[:n]))
     gf, gg = table_f.depth_factors, table_g.depth_factors
-    if lag >= 0:
-        k = min(len(gf), len(gg) - lag)
-        conv = float(np.dot(gf[:k], gg[lag : lag + k])) if k > 0 else 0.0
-    else:
-        k = min(len(gg), len(gf) + lag)
-        conv = float(np.dot(gf[-lag : -lag + k], gg[:k])) if k > 0 else 0.0
+    k = min(len(gf), len(gg) - lag)
+    conv = float(np.dot(gf[:k], gg[lag : lag + k])) if k > 0 else 0.0
     return amp * conv
 
 

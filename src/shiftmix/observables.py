@@ -1,11 +1,9 @@
 """Observables for experiments: linear functionals, polynomials, norm powers.
 
-Every observable evaluates on realized vectors, one at a time with
-:func:`evaluate` or on whole matrices of window amplitudes with
-:func:`evaluate_windows`, which gives the same numbers.  Polynomial observables
-also expose exact means under the invariant measure (coordinates are
-independent under the pullback, so means reduce to moments of the seed
-amplitude distribution).
+Every observable is evaluated by :func:`evaluate_windows`, on whole matrices
+of window amplitudes at once.  Polynomial observables also expose exact means
+under the invariant measure (coordinates are independent under the pullback,
+so means reduce to moments of the seed amplitude distribution).
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .shift import LpVector, ShiftModel, row_norms
+from .shift import ShiftModel, row_norms
 from .weights import SymbolWeights
 
 __all__ = [
@@ -24,7 +22,6 @@ __all__ = [
     "monomial_sum",
     "norm_power",
     "parse_observable",
-    "evaluate",
     "evaluate_windows",
     "exact_mean",
     "with_exact_mean_subtracted",
@@ -98,22 +95,6 @@ def parse_observable(text: str) -> Observable:
     raise ValueError(f"unknown observable form {text!r}")
 
 
-def evaluate(obs: Observable, v: LpVector) -> float:
-    if obs.kind == "norm_power":
-        return v.norm() ** obs.power - obs.mean_shift
-    y = v.coords()
-    if obs.kind == "linear":
-        n = min(len(y), len(obs.coefs))
-        return float(np.dot(obs.coefs[:n], y[:n])) - obs.mean_shift
-    total = 0.0
-    for c, ix in obs.terms:
-        prod = c
-        for i in ix:
-            prod *= y[i] if i < len(y) else 0.0
-        total += prod
-    return total - obs.mean_shift
-
-
 def evaluate_windows(
     obs: Observable, model: ShiftModel, amp: np.ndarray, ends: Sequence[int]
 ) -> np.ndarray:
@@ -121,9 +102,10 @@ def evaluate_windows(
     (``model.amplitudes`` of symbols) whose index 0 sits at columns ``ends``.
 
     Coordinate m of a window reads column ``end - m`` over ``W_m``, and 0 once
-    ``m > min(end, depth)``.  Monomials and norm powers give the bits of
-    :func:`evaluate` on ``window_vector``; linear functionals contract with
-    the kernel ``c_m / W_m``, one sequential sum per value."""
+    ``m > min(end, depth)``.  Monomials and norm powers give the bits of the
+    one-window-at-a-time reference in ``tests/reference.py``; linear
+    functionals contract with the kernel ``c_m / W_m``, one sequential sum per
+    value."""
     ends = np.asarray(ends, dtype=np.int64)
     out = np.empty((amp.shape[0], len(ends)))
     if obs.kind == "monomials":

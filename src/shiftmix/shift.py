@@ -6,8 +6,7 @@ canonical family.  Vectors are stored through their *scaled* coordinates
 ``z_m = y_m * W_m``: on that representation the operator is a pure index
 shift and the section maps place a seed amplitude at a single index, so the
 algebraic identities (cocycle relation, conjugacy with the symbol shift)
-hold bit-for-bit in floating point.  Plain coordinates are derived on
-demand by a single division per entry.
+hold bit-for-bit in floating point.  Plain coordinates are ``z_m / W_m``.
 """
 
 from __future__ import annotations
@@ -141,16 +140,11 @@ def canonical_shift(
 
 @dataclass(frozen=True)
 class LpVector:
-    """Finitely supported vector, stored through scaled coordinates.
-
-    ``scaled[m] = y_m * W_m``; ``coords()`` recovers y.
-    """
+    """Finitely supported vector, stored through scaled coordinates
+    ``scaled[m] = y_m * W_m``."""
 
     scaled: np.ndarray
     model: ShiftModel
-
-    def coords(self) -> np.ndarray:
-        return self.scaled / self.model.W[: len(self.scaled)]
 
     def norm(self) -> float:
         return float(row_norms(self.model, self.scaled[None, :])[0])

@@ -111,12 +111,16 @@ def build_growth_chain(outer: str | Callable[[int], float], k_max: int = 128) ->
     else:
         fn = outer
 
+    # non-finite values are refused before any arithmetic on them, and every
+    # check below is written so that a NaN fails it
     vals = np.array([float(fn(k)) for k in range(1, k_max + 1)])
-    if np.any(vals <= 1.0):
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("outer growth scale must be finite")
+    if not np.all(vals > 1.0):
         raise ValueError("outer growth scale must exceed 1 everywhere")
-    if np.any(np.diff(vals) < 0):
+    if not np.all(np.diff(vals) >= 0):
         raise ValueError("outer growth scale must be nondecreasing")
-    if vals[-1] <= vals[max(0, k_max // 2 - 1)]:
+    if not vals[-1] > vals[max(0, k_max // 2 - 1)]:
         raise ValueError("outer growth scale must keep increasing (unbounded target)")
 
     middle = np.empty(k_max)
@@ -131,12 +135,12 @@ def build_growth_chain(outer: str | Callable[[int], float], k_max: int = 128) ->
         if np.all(np.diff(ratio[i:]) <= 1e-15):
             monotone_from = i
             break
-    if ratio[-1] >= ratio[monotone_from]:
+    if not ratio[-1] < ratio[monotone_from]:
         raise ValueError("middle^2/outer does not decay over the tabulated range")
 
     chain = GrowthChain(k_max=k_max, middle=middle, inner=inner)
     margin = chain.pairing_margin()
-    if margin > 1e-12:
+    if not margin <= 1e-12:
         raise ValueError(f"pairing inequality violated with log margin {margin:.3e}")
     return chain
 
@@ -159,12 +163,13 @@ class SymbolWeights:
     length: int = field(init=False)
 
     def __post_init__(self):
-        if np.any(self.p <= 0.0):
-            raise ValueError("probabilities must be positive")
-        if np.any(np.diff(self.p) >= 0):
+        # written so that a NaN fails every check
+        if not np.all((self.p > 0.0) & (self.p <= 1.0)):
+            raise ValueError("probabilities must lie in (0, 1]")
+        if not np.all(np.diff(self.p) < 0):
             raise ValueError("probabilities must be strictly decreasing")
         total = math.fsum(self.p.tolist())
-        if abs(total - 1.0) > 1e-15:
+        if not abs(total - 1.0) <= 1e-15:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "log_p", np.log(self.p))
         object.__setattr__(self, "tail", np.cumsum(self.p[::-1])[::-1])

@@ -73,21 +73,3 @@ class TestSmallness:
         # |e_l(l)| <= C / sqrt(p_l) with a modest constant
         for l in range(1, basis40.l_max + 1):
             assert abs(basis40.value_row(l)[l - 1]) <= 1.01 / math.sqrt(weights40.p[l - 1])
-
-
-def test_vanished_suffix_truncates_with_warning():
-    # a final weight at the representability floor drives the suffix
-    # product under; the basis must stop there instead of emitting junk
-    p = np.array([0.7, 0.3 - 1e-300, 1e-300])
-    p = p / p.sum()
-    tail = np.cumsum(p[::-1])[::-1]
-    tail[-1] = 0.0  # simulate a fully folded remainder hitting zero
-    w = SymbolWeights.__new__(SymbolWeights)
-    object.__setattr__(w, "p", p)
-    object.__setattr__(w, "log_p", np.log(p))
-    object.__setattr__(w, "tail", tail)
-    object.__setattr__(w, "length", 3)
-    object.__setattr__(w, "d_max", 0)
-    with pytest.warns(RuntimeWarning, match="truncated"):
-        b = build_basis(w)
-    assert b.l_max == 1

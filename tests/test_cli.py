@@ -327,6 +327,19 @@ def test_weights_check_names_the_alpha_it_reads(tmp_path, capsys):
     assert "orbit-norm envelope N^(-0.3) is not summable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc", [TypeError("unsupported operand"), KeyError("lags")])
+def test_crash_in_a_runner_exits_two(exc, monkeypatch, tmp_path, capsys):
+    # exit 1 means a failed tolerance, so a defect must not end with it
+    def crash(params):
+        raise exc
+
+    monkeypatch.setitem(_SCHEMAS, "facts", (crash, _SCHEMAS["facts"][1]))
+    assert run(["facts", "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert err.splitlines()[-1] == f"error: {type(exc).__name__}: {exc}"
+
+
 def _rarely(odd, usual):
     """``odd`` on about one draw in eight, ``usual`` otherwise."""
     return st.integers(0, 7).flatmap(lambda i: odd if i == 0 else usual)

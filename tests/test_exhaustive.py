@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from shiftmix import mixing
-from shiftmix.observables import exact_mean, linear_functional, parse_observable
+from shiftmix.observables import (
+    exact_mean,
+    linear_functional,
+    parse_observable,
+    with_exact_mean_subtracted,
+)
+from shiftmix.sampling import SamplerState
 from shiftmix.shift import canonical_shift
 from shiftmix.weights import SymbolWeights
 
@@ -56,3 +62,18 @@ def test_monomial_mean_matches_enumeration(world):
     brute = prob @ (y[:, 0] * y[:, 1] + 0.5 * y[:, 2] ** 2 + 2.0 * y[:, 0] ** 2 * y[:, 3])
     obs = parse_observable("mono:(0,1)=1;(2,2)=0.5;(0,0,3)=2")
     assert exact_mean(obs, model, w) == pytest.approx(brute, rel=1e-12)
+
+
+def test_clt_sigma2_series_matches_enumeration(world):
+    # covariances vanish past lag DEPTH, so Var(S_n) - Var(S_{n-1}) at
+    # n = DEPTH + 1 is c_0 + 2 (c_1 + ... + c_DEPTH), the series clt reports
+    w, model, prob, amp = world
+    obs = with_exact_mean_subtracted(linear_functional(COEFS), model, w)
+    rep = mixing.clt_experiment(model, w, obs, DEPTH + 1, 100, SamplerState(1))
+    f = [coords(model, amp, WIDTH - 1 - p) @ COEFS for p in range(DEPTH + 1)]
+
+    def var(s):
+        return prob @ (s - prob @ s) ** 2
+
+    brute = var(sum(f)) - var(sum(f[:DEPTH]))
+    assert rep.sigma2_series == pytest.approx(brute, rel=1e-12)

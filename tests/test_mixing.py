@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+from reference import evaluate_window
 from shiftmix import mixing
 from shiftmix.fourier import linear_fourier_table
 from shiftmix.observables import (
-    evaluate,
     linear_functional,
     monomial_sum,
     with_exact_mean_subtracted,
 )
-from shiftmix.sampling import SamplerState, SymbolWindow, sample_symbol_matrix, window_vector
+from shiftmix.sampling import SamplerState, sample_symbol_matrix
 from shiftmix.shift import canonical_shift
 
 
@@ -78,7 +78,7 @@ class TestEmpiricalCovariance:
         def values(lag):  # window index 0 at column 6 - lag, realized to depth 4 at most
             d = min(6 - lag, 4)
             return np.array(
-                [evaluate(obs, window_vector(model, SymbolWindow(-d, 0, row[6 - lag - d : 7 - lag]))) for row in mat]
+                [evaluate_window(obs, model, row[6 - lag - d : 7 - lag]) for row in mat]
             )
 
         g = values(0)
@@ -193,7 +193,7 @@ class TestClt:
             for p in range(n):
                 hi = width - 1 - p
                 lo = max(hi - model.depth, 0)
-                total += evaluate(obs, window_vector(model, SymbolWindow(lo - hi, 0, syms[lo : hi + 1])))
+                total += evaluate_window(obs, model, syms[lo : hi + 1])
             assert rep.samples[r] == total / math.sqrt(n)
 
     def test_zero_observable_degenerates(self, model2, weights40):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from reference import evaluate, evaluate_window
 from shiftmix.observables import (
-    evaluate,
     evaluate_windows,
     exact_mean,
     linear_functional,
@@ -51,7 +51,7 @@ class TestEvaluate:
 
 
 class TestEvaluateWindows:
-    """The batched evaluator against evaluate(window_vector(...)), one window at a time."""
+    """The batched evaluator against the reference, one window at a time."""
 
     ENDS = [0, 1, 3, 6, 11]  # short windows, a full one, and one past the depth
 
@@ -67,7 +67,7 @@ class TestEvaluateWindows:
     def _reference(self, obs, model, symbols):
         return np.array(
             [
-                [evaluate(obs, window_vector(model, SymbolWindow(-e, 0, row[: e + 1]))) for e in self.ENDS]
+                [evaluate_window(obs, model, row[: e + 1]) for e in self.ENDS]
                 for row in symbols
             ]
         )

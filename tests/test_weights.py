@@ -35,6 +35,16 @@ class TestGrowthChain:
         with pytest.raises(ValueError, match="exceed 1"):
             wt.build_growth_chain(lambda k: 1.0 + 0.001 * k if k > 3 else 0.5, 64)
 
+    @pytest.mark.parametrize(
+        "outer",
+        [lambda k: math.nan, lambda k: math.inf, lambda k: math.nan if k == 40 else 1.0 + k],
+        ids=["nan", "inf", "nan-at-40"],
+    )
+    def test_non_finite_scale_rejected(self, outer):
+        # NaN fails no comparison-based check, and -inf counted as a pairing pass
+        with pytest.raises(ValueError, match="finite"):
+            wt.build_growth_chain(outer, 64)
+
     def test_middle_never_more_than_doubles(self, chain):
         assert np.all(chain.middle[1:] <= 2.0 * chain.middle[:-1] + 1e-15)
 
@@ -73,6 +83,13 @@ class TestSymbolWeights:
     def test_tail_ratio_decreasing(self, weights40):
         r = weights40.tail_ratios()
         assert np.all(np.diff(r) < 0)
+
+    @pytest.mark.parametrize(
+        "p", [[math.nan, math.nan], [0.6, math.nan], [math.inf, 0.5]], ids=["nan", "nan-last", "inf"]
+    )
+    def test_non_finite_probabilities_rejected(self, p):
+        with pytest.raises(ValueError, match="lie in"):
+            wt.SymbolWeights(p=np.array(p), d_max=0)
 
     def test_length_below_amplitude_range_rejected(self, chain):
         with pytest.raises(ValueError, match="2\\*d_max"):

@@ -164,8 +164,8 @@ class SymbolWeights:
 
     def __post_init__(self):
         # written so that a NaN fails every check
-        if not np.all((self.p > 0.0) & (self.p <= 1.0)):
-            raise ValueError("probabilities must lie in (0, 1]")
+        if not np.all(self.p > 0.0):
+            raise ValueError("probabilities must be positive")
         if not np.all(np.diff(self.p) < 0):
             raise ValueError("probabilities must be strictly decreasing")
         total = math.fsum(self.p.tolist())

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -98,8 +100,9 @@ class TestGrids:
         with pytest.raises(ValueError, match="grid"):
             _parse_grid(text)
 
-    def test_reversed_lag_range_exits_two(self, tmp_path):
+    def test_reversed_lag_range_exits_two(self, tmp_path, capsys):
         assert run(["cov-decay", "--lags", "4:2", "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestArtifacts:
@@ -402,13 +405,25 @@ def cli_calls(draw):
     return argv
 
 
+def _exit_code_without_crash(argv):
+    """Run ``main``; exit 2 also ends a crash, so it must come with a bare
+    ``error:`` line and no traceback to count as a rejected input."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue(), err.getvalue()
+    assert code != 2 or err.getvalue().startswith("error:"), err.getvalue()
+    return code
+
+
 @settings(max_examples=150, deadline=None)
 @given(argv=cli_calls())
 def test_any_drawn_call_ends_with_an_exit_code(tmp_path_factory, argv):
     out = tmp_path_factory.mktemp("call")
-    assert main([*argv, "--out", str(out / "w1")]) in (0, 1, 2)
+    _exit_code_without_crash([*argv, "--out", str(out / "w1")])
     if argv[0] in ("clt", "support-probe") or (argv[0] == "cov-decay" and "--mc" in argv):
-        assert main([*argv, "--workers", "2", "--out", str(out / "w2")]) in (0, 1, 2)
+        _exit_code_without_crash([*argv, "--workers", "2", "--out", str(out / "w2")])
         for name in ("report.json", "data.csv", "manifest.replay"):
             a, b = out / "w1" / name, out / "w2" / name
             assert a.exists() == b.exists()

@@ -149,7 +149,7 @@ def _run_weights_check(params):
     chain, w = _build_weights(params)
     schedule = weights.build_block_schedule(params["alpha"], w, chain, levels=w.length)
     report = weights.check_weight_conditions(w, chain, k_max=20, schedule=schedule)
-    beta_sq = math.exp(schedule.log_beta_sq_sum)
+    beta_sq = math.exp(schedule.log_beta_sq_tail(1, w))
     results = {
         "tail_ratio_max": report.tail_domination.constant,
         "sqrt_moment_constant": report.sqrt_moment.constant,
@@ -259,9 +259,7 @@ def _run_cov_decay(params):
 
 def _run_clt(params):
     w, model = _build_stack(params, 256)
-    depth = model.depth if params["functional"] == "ones" else 0
-    obs = _pick_functional(params["functional"], depth)
-    obs = observables.with_exact_mean_subtracted(obs, model, w)
+    obs = _pick_functional(params["functional"], model.depth)
     report = mixing.clt_experiment(
         model, w, obs, n_steps=params["N"], replicas=params["R"],
         state=sampling.SamplerState(params["seed"]),
@@ -293,8 +291,7 @@ def _run_mw(params):
         raise ValueError("mw needs at least two n-grid points")
     w, model = _build_stack(params, max(grid))  # no saturation below the horizon
     b = basis_mod.build_basis(w)
-    obs = _pick_functional("ones", model.depth)
-    table = mixing.linear_fourier_table(model, b, obs.coefs)
+    table = mixing.linear_fourier_table(model, b, np.ones(model.depth + 1))
     diag = mixing.conditional_norm_diagnostics(table, np.array(grid))
     tail = max(2, len(grid) // 2)
     known_ratios = diag.cauchy_ratios("known")[-tail:]
@@ -369,7 +366,7 @@ def _run_envelope_check(params):
     }
     passed = max(ratios) / min(ratios) <= 1.5 and counts_ok
     columns = {
-        "k_max": [c.k_max for c in checks],
+        "k_max": kmaxes,
         "lhs": [c.lhs for c in checks],
         "rhs": [c.rhs for c in checks],
         "ratio": ratios,
@@ -506,14 +503,10 @@ def main(argv: list[str] | None = None) -> int:
             if foreign:
                 raise ManifestError(f"{args.manifest}: {exp} does not read field {foreign[0]!r}")
             params.update(loaded)
-    except (ManifestError, UnicodeDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for field in accepted:
-        v = getattr(args, field)
-        if v is not None:
-            params[field] = v
-    try:
+        for field in accepted:
+            v = getattr(args, field)
+            if v is not None:
+                params[field] = v
         return run_experiment(args.experiment, params)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

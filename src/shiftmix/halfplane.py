@@ -12,7 +12,6 @@ summability envelope with a stable constant.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +30,6 @@ __all__ = [
     "guaranteed_decay_exponent",
     "EnvelopeCheck",
     "envelope_sum_check",
-    "related_indices",
     "partner_count",
 ]
 
@@ -47,7 +45,10 @@ class DecayedFunction:
 
     def __call__(self, x: float) -> float:
         u = x + self.offset
-        return 1.0 / (1.0 + u * u) ** self.decay_power
+        try:
+            return 1.0 / (1.0 + u * u) ** self.decay_power
+        except OverflowError:  # the profile lies below every double there
+            return 0.0
 
     @property
     def peak(self) -> float:
@@ -72,7 +73,7 @@ class QuadratureResult:
 
 def h2_norm(
     f: Callable[[float], float],
-    config: QuadratureConfig | None = None,
+    config: QuadratureConfig = QuadratureConfig(),
     breakpoints: tuple[float, ...] = (),
 ) -> QuadratureResult:
     """Hardy norm: square root of ``pi^-1 int |f|^2 dt / (1 + t^2)``.
@@ -85,8 +86,6 @@ def h2_norm(
     """
     from scipy.integrate import quad  # imported here so that start-up skips scipy
 
-    if config is None:
-        config = QuadratureConfig()
     pts = sorted(set(breakpoints) | ({f.peak} if isinstance(f, DecayedFunction) else set()) | {0.0})
     lo = min(pts) - _WINDOW_PAD
     hi = max(pts) + _WINDOW_PAD
@@ -133,52 +132,36 @@ class TranslationDecayFit:
 def translation_decay_fit(p: int, k_grid) -> TranslationDecayFit:
     """Fit the decay of translate norms against the certified exponent.
 
-    Needs profile power at least 4 and at least two usable grid points;
-    grid points whose quadrature fails are dropped with a warning.
+    Needs profile power at least 4 and at least two grid points; a grid
+    point whose quadrature fails raises that failure.
     """
     if p < 4:
         raise ValueError("profile decay power must be at least 4")
-    ks, norms, errs = [], [], []
-    base = DecayedFunction(decay_power=p)
-    for k in sorted(int(v) for v in k_grid):
-        try:
-            res = h2_norm(translate(base, k))
-        except ArithmeticError as exc:
-            warnings.warn(f"dropping k = {k}: {exc}", RuntimeWarning)
-            continue
-        ks.append(k)
-        norms.append(res.value)
-        errs.append(res.error)
+    ks = sorted(int(v) for v in k_grid)
     if len(ks) < 2:
-        raise ValueError("need at least two usable grid points to fit a slope")
-    fit = log_log_fit(ks, norms)
+        raise ValueError("need at least two grid points to fit a slope")
+    base = DecayedFunction(decay_power=p)
+    res = [h2_norm(translate(base, k)) for k in ks]
+    fit = log_log_fit(ks, [r.value for r in res])
     return TranslationDecayFit(
         exponent=-fit.slope,
         guaranteed=guaranteed_decay_exponent(p),
         ks=np.array(ks),
-        norms=np.array(norms),
-        errors=np.array(errs),
+        norms=np.array([r.value for r in res]),
+        errors=np.array([r.error for r in res]),
     )
 
 
-def related_indices(k: int, limit: int) -> list[int]:
-    """Indices j <= limit whose fourth-root intervals overlap k's (j = k included)."""
-    out = []
-    kq = k**0.25
-    for j in range(1, limit + 1):
-        if abs(k - j) <= kq + j**0.25:
-            out.append(j)
-    return out
-
-
 def partner_count(k: int, limit: int) -> int:
-    """Distinct partners of k: related indices other than k itself.
+    """Distinct partners of k: the indices j <= limit other than k whose
+    fourth-root intervals overlap k's, ``|k - j| <= k^{1/4} + j^{1/4}``.
 
-    The self pair inflates the count past 4 k^{1/4} at small k (k = 4 has 6
-    related indices against a bound of 5.66); the partner count satisfies
-    the 4 k^{1/4} budget everywhere up to 64.
+    Counting k itself would inflate the count past 4 k^{1/4} at small k
+    (k = 4 would have 6 against a bound of 5.66); the partner count
+    satisfies the 4 k^{1/4} budget everywhere up to 64.
     """
-    return len(related_indices(k, limit)) - 1
+    kq = k**0.25
+    return sum(abs(k - j) <= kq + j**0.25 for j in range(1, limit + 1)) - 1
 
 
 @dataclass(frozen=True)
@@ -186,7 +169,6 @@ class EnvelopeCheck:
     lhs: float
     rhs: float
     ratio: float
-    k_max: int
 
 
 def envelope_sum_check(p: int, theta_values, k_max: int) -> EnvelopeCheck:
@@ -208,6 +190,9 @@ def envelope_sum_check(p: int, theta_values, k_max: int) -> EnvelopeCheck:
         u = x + kk
         return float(np.sum(theta / (1.0 + u * u) ** p))
 
-    res = h2_norm(total, QuadratureConfig(tolerance=1e-8), breakpoints=tuple(-kk))
+    # where the power in ``total`` overflows, the profile lies below every
+    # double and its square in the integrand is 0.0 either way
+    with np.errstate(over="ignore"):
+        res = h2_norm(total, QuadratureConfig(tolerance=1e-8), breakpoints=tuple(-kk))
     rhs = float(np.sum(theta**2 * kk**-1.5))
-    return EnvelopeCheck(lhs=res.value, rhs=rhs, ratio=res.value / rhs, k_max=k_max)
+    return EnvelopeCheck(lhs=res.value, rhs=rhs, ratio=res.value / rhs)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import build_basis
 from .fourier import FourierTable, exact_covariance, linear_fourier_table
-from .observables import Observable, evaluate_windows, exact_mean
+from .observables import Observable, evaluate_windows, with_exact_mean_subtracted
 from .sampling import (
     _REPLICA_BLOCK,
     SamplerState,
@@ -173,7 +173,7 @@ def decay_exponent_fit(report: DecayReport) -> SlopeFit:
     raise "no signal".
     """
     values = report.exact if report.exact is not None else report.mc
-    mask = report.usable_mask() & (np.abs(values) > 0)
+    mask = report.usable_mask()
     if not mask.any():
         raise ValueError("no signal: all covariances statistically zero")
     if mask.sum() < 5:
@@ -242,12 +242,13 @@ def clt_experiment(
 ) -> CltReport:
     """Distribution of normalized Birkhoff sums over independent replicas.
 
-    The observable must be centered (exact mean zero), a linear one must fit
-    the model depth, and the decay exponent must exceed 1, the proven regime.
-    Each replica draws a fresh stream; for linear observables the whole
-    Birkhoff sum is one dot product against a precomputed kernel, for the
-    others one evaluation of every step's window of a block of replicas at
-    once.
+    The observable is centered by its exact mean here; a linear one must fit
+    the model depth, and the decay exponent must exceed 1, the proven
+    regime.  Each replica draws a fresh stream; for linear observables the
+    whole Birkhoff sum is one dot product against a precomputed kernel, for
+    the others one evaluation of every step's window of a block of replicas
+    at once.  A sample of zero variance is degenerate: its statistics are
+    NaN and it fails.
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas for a usable distribution test")
@@ -257,9 +258,7 @@ def clt_experiment(
         raise ValueError(f"clt needs alpha > 1, the proven regime; got alpha = {model.alpha!r}")
     if obs.kind == "linear" and obs.support_depth > model.depth:
         raise ValueError(f"depth {model.depth} below observable support {obs.support_depth}")
-    mu = exact_mean(obs, model, w)
-    if abs(mu) > 1e-9:
-        raise ValueError(f"observable mean {mu!r} is not zero; center it first")
+    obs = with_exact_mean_subtracted(obs, model, w)
 
     width = n_steps + obs.support_depth
     values = np.empty(replicas)
@@ -287,45 +286,34 @@ def clt_experiment(
     _run_blocks(replicas, _REPLICA_BLOCK, block, workers)
 
     var_hat = float(values.var(ddof=1))
-    common = dict(
-        samples=values,
-        ks_limit=1.5 * 1.63 / math.sqrt(replicas),
-        skew_limit=4.0 * math.sqrt(6.0 / replicas),
-        kurtosis_limit=4.0 * math.sqrt(24.0 / replicas),
-        sigma2_hat=var_hat,
-    )
-    if var_hat <= 1e-300:
-        return CltReport(
-            **common,
-            ks_distance=math.nan,
-            skewness=math.nan,
-            excess_kurtosis=math.nan,
-            sigma2_series=None,
-            degenerate=True,
-        )
-
-    z = (values - values.mean()) / math.sqrt(var_hat)
-    skew = float(np.mean(z**3))
-    kurt = float(np.mean(z**4) - 3.0)
-    ks = _ks_fitted_normal(values)
-
+    degenerate = var_hat <= 1e-300
+    ks = skew = kurt = math.nan
     sigma2_series = None
-    if obs.kind == "linear":
-        cov = exact_decay_curve(model, w, obs, obs, np.arange(len(obs.coefs))).exact
-        total = cov[0]
-        for c in cov[1:]:
-            if abs(c) < 1e-12 * abs(cov[0]):
-                break
-            total += 2.0 * c
-        sigma2_series = float(total)
+    if not degenerate:
+        z = (values - values.mean()) / math.sqrt(var_hat)
+        skew = float(np.mean(z**3))
+        kurt = float(np.mean(z**4) - 3.0)
+        ks = _ks_fitted_normal(values)
+        if obs.kind == "linear":
+            cov = exact_decay_curve(model, w, obs, obs, np.arange(len(obs.coefs))).exact
+            total = cov[0]
+            for c in cov[1:]:
+                if abs(c) < 1e-12 * abs(cov[0]):
+                    break
+                total += 2.0 * c
+            sigma2_series = float(total)
 
     return CltReport(
-        **common,
+        samples=values,
         ks_distance=ks,
+        ks_limit=1.5 * 1.63 / math.sqrt(replicas),
         skewness=skew,
+        skew_limit=4.0 * math.sqrt(6.0 / replicas),
         excess_kurtosis=kurt,
+        kurtosis_limit=4.0 * math.sqrt(24.0 / replicas),
+        sigma2_hat=var_hat,
         sigma2_series=sigma2_series,
-        degenerate=False,
+        degenerate=degenerate,
     )
 
 

@@ -123,12 +123,11 @@ def evaluate_windows(
         if obs.kind == "linear":
             n = min(n, len(obs.coefs))
             k = obs.coefs[:n] / model.W[:n]
-            out[:, j] = amp[:, end - n + 1 : end + 1] @ k[::-1] - obs.mean_shift
+            out[:, j] = amp[:, end - n + 1 : end + 1] @ k[::-1]
         else:
             norms = row_norms(model, amp[:, end - n + 1 : end + 1][:, ::-1])
             out[:, j] = [x**obs.power for x in norms.tolist()]
-            out[:, j] -= obs.mean_shift
-    return out
+    return out - obs.mean_shift
 
 
 def _amplitude_moments(model: ShiftModel, w: SymbolWeights, orders: set[int]) -> dict[int, float]:

@@ -243,15 +243,13 @@ def support_probe(
 
     # each sample keeps its own stream; distances are taken a block at a time
     depth = model.depth
-    b = np.zeros(max(depth + 1, len(target.scaled)))
+    b = np.zeros(depth + 1)
     b[: len(target.scaled)] = target.scaled
     hit = np.empty(samples, dtype=bool)
 
     def block(start: int, stop: int) -> None:
         syms = sample_replicas(w, depth + 1, state, start, stop)
-        a = np.zeros((stop - start, len(b)))
-        a[:, : depth + 1] = model.amplitudes(syms[:, ::-1])
-        hit[start:stop] = row_norms(model, a - b) < delta
+        hit[start:stop] = row_norms(model, model.amplitudes(syms[:, ::-1]) - b) < delta
 
     _run_blocks(samples, _REPLICA_BLOCK, block, workers)
     hits_n = int(np.count_nonzero(hit))

@@ -151,12 +151,10 @@ class LpVector:
 
 
 def row_norms(model: ShiftModel, scaled: np.ndarray) -> np.ndarray:
-    """Norms of the rows of scaled coordinates, each row's bits as if alone:
-    one BLAS dot per row for p = 2, otherwise a scalar root per row."""
+    """Norms ``sum(|y|^p)^(1/p)`` of the rows of scaled coordinates, each
+    row's bits as if alone: one row sum and one scalar root per row."""
     p = model.p_exp
     y = np.abs(scaled / model.W[: scaled.shape[1]])
-    if p == 2.0:
-        return np.sqrt((y[:, None, :] @ y[:, :, None])[:, 0, 0])
     return np.array([s ** (1.0 / p) for s in np.sum(y**p, axis=1)])
 
 

@@ -22,7 +22,7 @@ alongside them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -345,10 +345,10 @@ def check_weight_conditions(
 
 @dataclass(frozen=True)
 class BlockSchedule:
-    """Increasing block boundaries with convex gaps and the beta certificate."""
+    """Increasing block boundaries with convex gaps; the beta certificate is
+    ``log_beta_sq_tail(1, w)``, the log of the full beta-square product."""
 
     bounds: np.ndarray  # N_1..N_R, int64
-    log_beta_sq_sum: float
 
     def log_beta_sq_tail(self, from_level: int, weights: SymbolWeights) -> float:
         """2 * sum_{l >= from_level} gap_l * log(sigma_l) over the truncation."""
@@ -402,6 +402,5 @@ def build_block_schedule(alpha: float, w: SymbolWeights, chain: GrowthChain, lev
                 f"block boundary of level {l} passes the int64 range at alpha = {alpha!r}"
             )
         bounds.append(bound)
-    schedule = BlockSchedule(bounds=np.array(bounds, dtype=np.int64), log_beta_sq_sum=0.0)
-    return replace(schedule, log_beta_sq_sum=schedule.log_beta_sq_tail(1, w))
+    return BlockSchedule(bounds=np.array(bounds, dtype=np.int64))
 

@@ -311,6 +311,21 @@ def test_unrunnable_input_exits_two(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["halfplane-decay", "--p", 40, "--k-grid", "8:65536"], 14),
+        (["envelope-check", "--p", 200, "--kmax-list", "16,32"], 2),
+    ],
+)
+def test_steep_profile_keeps_every_grid_point(argv, rows, tmp_path, capsys):
+    # (1 + u^2)^p passes the double range far from the hump, where the
+    # profile reads 0.0; no point may be dropped and no warning raised
+    assert run([*argv, "--out", tmp_path / "o"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len((tmp_path / "o" / "data.csv").read_text().splitlines()) == 2 + rows
+
+
+@pytest.mark.parametrize(
     "argv", [["weights-check", "--alpha", 1.5], ["support-probe", "--alpha", 1.2, "--R", 10]]
 )
 def test_overflowing_block_boundary_exits_two(argv, tmp_path, capsys):

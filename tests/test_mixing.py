@@ -207,10 +207,13 @@ class TestClt:
         with pytest.raises(ValueError, match="replicas"):
             mixing.clt_experiment(model2, weights40, obs, 64, 50, SamplerState(1))
 
-    def test_uncentered_observable_rejected(self, model2, weights40):
-        obs = linear_functional(np.ones(17))
-        with pytest.raises(ValueError, match="mean"):
-            mixing.clt_experiment(model2, weights40, obs, 64, 200, SamplerState(1))
+    def test_uncentered_observable_is_centered_first(self, model2, weights40):
+        for obs in (linear_functional(np.ones(17)), monomial_sum([(1.0, (0, 1)), (0.5, (2, 2))])):
+            centered = with_exact_mean_subtracted(obs, model2, weights40)
+            assert centered.mean_shift != 0.0
+            raw = mixing.clt_experiment(model2, weights40, obs, 64, 200, SamplerState(1))
+            done = mixing.clt_experiment(model2, weights40, centered, 64, 200, SamplerState(1))
+            assert raw.samples.tobytes() == done.samples.tobytes()
 
     def test_slow_decay_rejected(self, chain, weights40):
         slow = canonical_shift(0.75, depth=16, chain=chain)

@@ -195,8 +195,8 @@ class TestBlockSchedule:
         gaps = np.diff(sched.bounds)
         assert np.all(np.diff(gaps) > 0)
 
-    def test_beta_square_product_above_half(self, schedule40):
-        assert math.exp(schedule40.log_beta_sq_sum) > 0.5
+    def test_beta_square_product_above_half(self, schedule40, weights40):
+        assert math.exp(schedule40.log_beta_sq_tail(1, weights40)) > 0.5
 
     def test_harmonic_envelope_rejected(self, weights40, chain):
         with pytest.raises(ValueError, match="not summable"):

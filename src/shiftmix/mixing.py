@@ -24,8 +24,8 @@ from .sampling import (
     _REPLICA_BLOCK,
     SamplerState,
     _run_blocks,
+    sample_amplitudes,
     sample_replicas,
-    sample_symbol_matrix,
 )
 from .shift import ShiftModel
 from .weights import SymbolWeights
@@ -99,10 +99,10 @@ def empirical_covariance(
     f_all = np.empty((len(lags), n_samples))
 
     def block(start: int, stop: int) -> None:
-        mat = sample_symbol_matrix(w, stop - start, width, state.substream(start // chunk))
-        # amplitudes are gathered once per sub-block and read at every lag
+        # amplitudes are drawn once per chunk; each sub-block is read at every lag
+        amps = sample_amplitudes(model, w, stop - start, width, state.substream(start // chunk))
         for s in range(0, stop - start, sub):
-            amp = model.amplitudes(mat[s : s + sub])
+            amp = amps[s : s + sub]
             rows = slice(start + s, start + s + len(amp))
             g_all[rows] = evaluate_windows(obs_g, model, amp, [idx0])[:, 0]
             f_all[:, rows] = evaluate_windows(obs_f, model, amp, idx0 - lags).T

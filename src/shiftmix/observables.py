@@ -46,13 +46,18 @@ class Observable:
 
 
 def linear_functional(coefs: Sequence[float]) -> Observable:
-    return Observable(kind="linear", coefs=np.asarray(coefs, dtype=float))
+    c = np.asarray(coefs, dtype=float)
+    if not (c.size and np.isfinite(c).all()):
+        raise ValueError("need at least one linear coefficient, and all must be finite")
+    return Observable(kind="linear", coefs=c)
 
 
 def monomial_sum(terms: Sequence[tuple[float, Sequence[int]]]) -> Observable:
     tt = tuple((float(c), tuple(int(i) for i in ix)) for c, ix in terms)
     if any(i < 0 for _, ix in tt for i in ix):
         raise ValueError("monomial coordinates must be nonnegative")
+    if not all(np.isfinite(c) for c, _ in tt):
+        raise ValueError("monomial coefficients must be finite")
     return Observable(kind="monomials", terms=tt)
 
 
@@ -103,9 +108,11 @@ def evaluate_windows(
 
     Coordinate m of a window reads column ``end - m`` over ``W_m``, and 0 once
     ``m > min(end, depth)``.  Monomials and norm powers give the bits of the
-    one-window-at-a-time reference in ``tests/reference.py``; linear
-    functionals contract with the kernel ``c_m / W_m``, one sequential sum per
-    value."""
+    one-window-at-a-time reference in ``tests/reference.py``.  A linear value
+    sums ``amp[r, c] * (c_m / W_m)`` over the non-zero amplitudes of row r
+    only (drawn rows are mostly the zero seed), in increasing column order
+    from +0.  A sum over every column in that order adds only ±0 terms
+    besides these (coefficients are finite), and they change no bit."""
     ends = np.asarray(ends, dtype=np.int64)
     out = np.empty((amp.shape[0], len(ends)))
     if obs.kind == "monomials":
@@ -118,15 +125,21 @@ def evaluate_windows(
                 prod *= np.where(i <= reach, y, 0.0)
             total += prod
         return total - obs.mean_shift
+    if obs.kind == "linear":
+        n = min(len(obs.coefs), model.depth + 1)
+        k = obs.coefs[:n] / model.W[:n]
+        # kern[j, c]: the coefficient of column c in the window ending at ends[j]
+        m = ends[:, None] - np.arange(amp.shape[1])
+        kern = np.where((m >= 0) & (m < n), k[np.clip(m, 0, n - 1)], 0.0)
+        r, c = np.divmod(np.flatnonzero(amp != 0), amp.shape[1])
+        a = amp[r, c]
+        for j in range(len(ends)):
+            out[:, j] = np.bincount(r, weights=a * kern[j, c], minlength=amp.shape[0])
+        return out - obs.mean_shift
     for j, end in enumerate(ends.tolist()):
         n = min(end, model.depth) + 1  # window coordinates 0 .. n - 1
-        if obs.kind == "linear":
-            n = min(n, len(obs.coefs))
-            k = obs.coefs[:n] / model.W[:n]
-            out[:, j] = amp[:, end - n + 1 : end + 1] @ k[::-1]
-        else:
-            norms = row_norms(model, amp[:, end - n + 1 : end + 1][:, ::-1])
-            out[:, j] = [x**obs.power for x in norms.tolist()]
+        norms = row_norms(model, amp[:, end - n + 1 : end + 1][:, ::-1])
+        out[:, j] = [x**obs.power for x in norms.tolist()]
     return out - obs.mean_shift
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "SymbolWindow",
     "sample_window",
     "sample_symbol_matrix",
+    "sample_amplitudes",
     "sample_replicas",
     "window_vector",
     "conjugacy_residual",
@@ -119,6 +120,21 @@ def sample_symbol_matrix(w: SymbolWeights, rows: int, cols: int, state: SamplerS
         rng = state.substream(start // _CHUNK).rng()
         out[start:stop] = _symbols(thr, rng.random((stop - start, cols)))
     return out
+
+
+def sample_amplitudes(model: ShiftModel, w: SymbolWeights, rows: int, cols: int, state: SamplerState) -> np.ndarray:
+    """``model.amplitudes(sample_symbol_matrix(w, rows, cols, state))``, bit
+    for bit, with no symbol matrix: each chunk draws the same uniforms and
+    searches only those at or above ``thr[0]``; the rest give the zero seed,
+    whose amplitude is +0."""
+    thr = _thresholds(w)
+    out = np.zeros(rows * cols)
+    for start in range(0, rows, _CHUNK):
+        stop = min(start + _CHUNK, rows)
+        u = state.substream(start // _CHUNK).rng().random((stop - start) * cols)
+        pos = np.flatnonzero(u >= thr[0])
+        out[start * cols + pos] = model.amplitudes(np.searchsorted(thr, u[pos], side="right") + 1)
+    return out.reshape(rows, cols)
 
 
 def sample_replicas(w: SymbolWeights, cols: int, state: SamplerState, start: int, stop: int) -> np.ndarray:

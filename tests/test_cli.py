@@ -146,6 +146,8 @@ class TestArtifacts:
             for functional in ("ones", "mono:(0,0)=1;(0,1)=1")
         ]
         calls.append(["support-probe", "--R", 300, "--seed", 9])
+        # default depth 256; 5000 rows end in a partial chunk and sub-block
+        calls.append(["cov-decay", "--mc", "--R", 5000, "--lags", "1:256", "--seed", 9])
         for i, args in enumerate(calls):
             a, b = tmp_path / f"w1-{i}", tmp_path / f"w4-{i}"
             assert run([*args, "--out", a]) == 0
@@ -300,6 +302,11 @@ class TestSchemas:
         ["clt", "--alpha", 400, "--N", 64, "--R", 100],
         ["mw", "--alpha", 400],
         ["cov-decay", "--exact", "--alpha", 400],
+        *(
+            [*call, "--functional", functional]
+            for call in (["clt", "--N", 64, "--R", 200], ["cov-decay", "--mc", "--R", 200, "--lags", "1:4"])
+            for functional in ("lin:0=nan,1=1", "lin:0=inf", "mono:(0,1)=nan")
+        ),
     ],
 )
 def test_unrunnable_input_exits_two(argv, tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import evaluate, evaluate_window
+from reference import evaluate, evaluate_window, linear_sum
 from shiftmix.observables import (
     evaluate_windows,
     exact_mean,
@@ -48,6 +48,17 @@ class TestEvaluate:
         assert parse_observable("normp:2").power == 2
         with pytest.raises(ValueError, match="unknown"):
             parse_observable("spline:3")
+
+    @pytest.mark.parametrize(
+        "text", ["lin:0=nan,1=1", "lin:0=inf", "lin:0=1,4=-inf", "mono:(0,1)=nan", "mono:()=1;(2,)=-inf"]
+    )
+    def test_non_finite_coefficient_rejected(self, text):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_observable(text)
+
+    def test_empty_linear_functional_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            linear_functional([])
 
 
 class TestEvaluateWindows:
@@ -107,6 +118,29 @@ class TestEvaluateWindows:
         obs = linear_functional([1.0, 0.0, 0.0, 0.7, 0.0, -1.3])
         got = evaluate_windows(obs, model6, model6.amplitudes(symbols), self.ENDS)
         np.testing.assert_allclose(got, self._reference(obs, model6, symbols), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "coefs", [np.ones(257), [1.0], [1.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.7, 0.0, -1.3]]
+    )
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_linear_bits_match_a_sum_in_column_order(self, chain, weights40, coefs, centered):
+        model = canonical_shift(2.0, depth=40, chain=chain)
+        obs = linear_functional(coefs)
+        if centered:
+            obs = with_exact_mean_subtracted(obs, model, weights40)
+        # an all-zero row, two dense rows and three drawn (mostly zero seed) rows
+        symbols = np.vstack(
+            [
+                np.ones((1, 90), dtype=np.int64),
+                np.random.default_rng(5).integers(1, 41, size=(2, 90)),
+                sample_symbol_matrix(weights40, 3, 90, SamplerState(11)),
+            ]
+        )
+        amp = model.amplitudes(symbols)
+        ends = [0, 2, 5, 39, 40, 41, 77, 89]  # below, at and past the depth
+        got = evaluate_windows(obs, model, amp, ends)
+        want = linear_sum(obs, model, amp, ends)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_symbols_beyond_seed_family_rejected(self, model6):
         bad = np.array([[1, 2, model6.n_seeds + 1]])

@@ -12,6 +12,7 @@ from shiftmix.sampling import (
     _symbols,
     _thresholds,
     conjugacy_residual,
+    sample_amplitudes,
     sample_replicas,
     sample_symbol_matrix,
     sample_window,
@@ -56,6 +57,15 @@ class TestSampler:
         a = sample_symbol_matrix(weights40, 3000, 64, state)
         u = state.substream(1).rng().random((1024, 64))
         assert np.array_equal(a[1024:2048], _symbols(_thresholds(weights40), u))
+
+    @pytest.mark.parametrize("rows", [1024, 1025, 3000])  # chunk edge, partial last chunk
+    @pytest.mark.parametrize("cols", [1, 513])
+    def test_amplitudes_are_the_gathered_symbol_matrix(self, model2, weights40, rows, cols):
+        state = SamplerState(6, 1)
+        got = sample_amplitudes(model2, weights40, rows, cols, state)
+        want = model2.amplitudes(sample_symbol_matrix(weights40, rows, cols, state))
+        assert got.shape == want.shape and 0 < np.count_nonzero(want) < want.size / 10
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("start, stop", [(0, 5), (70, 73)])
     def test_replica_rows_are_one_row_matrices(self, weights40, start, stop):

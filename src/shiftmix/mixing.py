@@ -1,13 +1,13 @@
 """Covariance decay, central limit behavior, and martingale diagnostics.
 
-Dynamics never iterate the operator on vectors: each replica draws one
-window of symbols (``sample_replicas``, a block of replicas at a time) and
-the operator acts as an index shift inside it, so a whole Birkhoff sum
-costs one pass over the window, for every kind of observable.  Exact
-covariances come from the coefficient convolution of the factorized linear
-tables, through ``exact_decay_curve`` alone; Monte Carlo estimates must
-agree with them within standard errors, and the CLT experiments compare
-standardized Birkhoff sums against a moment-matched Gaussian.
+Dynamics never iterate the operator on vectors: each replica is the row of
+seed amplitudes of one window (``sample_replicas`` draws a block of them
+from one re-keyed generator), and the operator acts as an index shift in
+it, so a Birkhoff sum costs one pass over the row for every kind of
+observable.  Exact covariances are the coefficient convolution of the
+factorized linear tables (``exact_decay_curve``); Monte Carlo estimates
+must agree with them within standard errors, and the CLT experiments
+compare standardized Birkhoff sums against a moment-matched Gaussian.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import build_basis
 from .fourier import FourierTable, exact_covariance, linear_fourier_table
-from .observables import Observable, evaluate_windows, with_exact_mean_subtracted
+from .observables import Observable, _amplitude_moments, evaluate_windows, with_exact_mean_subtracted
 from .sampling import (
     _REPLICA_BLOCK,
     SamplerState,
@@ -244,11 +244,11 @@ def clt_experiment(
 
     The observable is centered by its exact mean here; a linear one must fit
     the model depth, and the decay exponent must exceed 1, the proven
-    regime.  Each replica draws a fresh stream; for linear observables the
-    whole Birkhoff sum is one dot product against a precomputed kernel, for
-    the others one evaluation of every step's window of a block of replicas
-    at once.  A sample of zero variance is degenerate: its statistics are
-    NaN and it fails.
+    regime.  Each replica is one amplitude row of its own stream.  A linear
+    Birkhoff sum is one dot product against a precomputed kernel, and its
+    long-run variance is Var(a) (sum_m c_m / W_m)^2; other observables
+    evaluate every step's window of a block of replicas at once.  A sample
+    of zero variance is degenerate: its statistics are NaN and it fails.
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas for a usable distribution test")
@@ -264,23 +264,22 @@ def clt_experiment(
     values = np.empty(replicas)
     if obs.kind == "linear":
         k = obs.coefs / model.W[: len(obs.coefs)]
-        kern = np.convolve(k, np.ones(n_steps))  # kern[i] = sum of k over the lag band
-        kern_rev = kern[::-1]
+        kern_rev = np.convolve(k, np.ones(n_steps))[::-1]  # sums of k over the lag bands, reversed
         shift_total = n_steps * obs.mean_shift
 
-        def birkhoff_sums(syms: np.ndarray):
-            return [float(model.amplitudes(row) @ kern_rev) - shift_total for row in syms]
+        def birkhoff_sums(amps: np.ndarray):
+            return [float(row @ kern_rev) - shift_total for row in amps]
     else:
         # window index 0 of step p sits at column width - 1 - p
         ends = np.arange(width - 1, width - 1 - n_steps, -1)
 
-        def birkhoff_sums(syms: np.ndarray):
-            f = evaluate_windows(obs, model, model.amplitudes(syms), ends)
+        def birkhoff_sums(amps: np.ndarray):
+            f = evaluate_windows(obs, model, amps, ends)
             # the running sum adds in step order from +0.0, as a loop would
             return np.cumsum(f, axis=1)[:, -1] + 0.0
 
     def block(start: int, stop: int) -> None:
-        sums = birkhoff_sums(sample_replicas(w, width, state, start, stop))
+        sums = birkhoff_sums(sample_replicas(model, w, width, state, start, stop))
         values[start:stop] = np.asarray(sums) / math.sqrt(n_steps)
 
     _run_blocks(replicas, _REPLICA_BLOCK, block, workers)
@@ -295,13 +294,8 @@ def clt_experiment(
         kurt = float(np.mean(z**4) - 3.0)
         ks = _ks_fitted_normal(values)
         if obs.kind == "linear":
-            cov = exact_decay_curve(model, w, obs, obs, np.arange(len(obs.coefs))).exact
-            total = cov[0]
-            for c in cov[1:]:
-                if abs(c) < 1e-12 * abs(cov[0]):
-                    break
-                total += 2.0 * c
-            sigma2_series = float(total)
+            m = _amplitude_moments(model, w, {1, 2})  # the sum of cov(p) over all lags p
+            sigma2_series = (m[2] - m[1] ** 2) * float(np.sum(k)) ** 2
 
     return CltReport(
         samples=values,

@@ -64,6 +64,12 @@ class SamplerState:
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
         return Generator(Philox(key=key))
 
+    def rekey(self, bits: Philox) -> None:
+        """Restart ``bits`` where ``self.rng()`` starts: this key, a zero counter, an empty buffer."""
+        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
+        bits.state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+                      "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
     def substream(self, i: int) -> "SamplerState":
         return SamplerState(self.seed, _splitmix64((self.stream * 0x100000001B3 + i + 1) & _MASK64))
 
@@ -137,14 +143,23 @@ def sample_amplitudes(model: ShiftModel, w: SymbolWeights, rows: int, cols: int,
     return out.reshape(rows, cols)
 
 
-def sample_replicas(w: SymbolWeights, cols: int, state: SamplerState, start: int, stop: int) -> np.ndarray:
-    """Symbol rows of replicas ``start .. stop - 1``: replica r reads the
-    one-row matrix of ``state.substream(r)``, whichever block draws it."""
+def sample_replicas(model: ShiftModel, w: SymbolWeights, cols: int, state: SamplerState, start: int, stop: int) -> np.ndarray:
+    """Amplitude rows of replicas ``start .. stop - 1``: replica r reads the
+    one-row draw of ``state.substream(r)``, whichever block draws it, from a
+    generator built per call (blocks may run on threads) and re-keyed per row;
+    the uniforms at or above ``thr[0]`` are searched once per block."""
     thr = _thresholds(w)
-    out = np.empty((stop - start, cols), dtype=np.int64)
+    gen = Generator(Philox(0))
+    pos, hits = [np.empty(0, dtype=np.intp)], [np.empty(0)]
     for i in range(stop - start):
-        out[i] = _symbols(thr, state.substream(start + i).substream(0).rng().random(cols))
-    return out
+        state.substream(start + i).substream(0).rekey(gen.bit_generator)
+        u = gen.random(cols)
+        j = np.flatnonzero(u >= thr[0])
+        pos.append(i * cols + j)
+        hits.append(u[j])
+    out = np.zeros((stop - start) * cols)
+    out[np.concatenate(pos)] = model.amplitudes(np.searchsorted(thr, np.concatenate(hits), side="right") + 1)
+    return out.reshape(stop - start, cols)
 
 
 def _run_blocks(n_total: int, block: int, fn, workers: int) -> None:
@@ -213,11 +228,13 @@ def support_probe(
 ) -> SupportProbeReport:
     """Estimate the measure of a delta-ball and certify it is positive.
 
-    The analytic lower bound follows the full-support argument: prescribe
-    the matching symbol at every coordinate of the target's support and the
-    zero seed elsewhere inside a window wide enough that residual tails
-    stay below delta, then multiply the prescribed symbol masses by the
-    truncated beta-square product of the block schedule.
+    The empirical mass counts samples within delta, each one amplitude row
+    of :func:`sample_replicas` (a re-keyed generator) read in reverse.  The
+    analytic lower bound follows the full-support argument: prescribe the
+    matching symbol at every coordinate of the target's support and the zero
+    seed elsewhere inside a window wide enough that residual tails stay
+    below delta, then multiply the prescribed symbol masses by the truncated
+    beta-square product of the block schedule.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -257,15 +274,14 @@ def support_probe(
     log_bound += schedule.log_beta_sq_tail(level, w)
     analytic = math.exp(log_bound)
 
-    # each sample keeps its own stream; distances are taken a block at a time
     depth = model.depth
     b = np.zeros(depth + 1)
     b[: len(target.scaled)] = target.scaled
     hit = np.empty(samples, dtype=bool)
 
     def block(start: int, stop: int) -> None:
-        syms = sample_replicas(w, depth + 1, state, start, stop)
-        hit[start:stop] = row_norms(model, model.amplitudes(syms[:, ::-1]) - b) < delta
+        amps = sample_replicas(model, w, depth + 1, state, start, stop)
+        hit[start:stop] = row_norms(model, amps[:, ::-1] - b) < delta
 
     _run_blocks(samples, _REPLICA_BLOCK, block, workers)
     hits_n = int(np.count_nonzero(hit))

@@ -66,14 +66,16 @@ def test_monomial_mean_matches_enumeration(world):
 
 def test_clt_sigma2_series_matches_enumeration(world):
     # covariances vanish past lag DEPTH, so Var(S_n) - Var(S_{n-1}) at
-    # n = DEPTH + 1 is c_0 + 2 (c_1 + ... + c_DEPTH), the series clt reports
+    # n = DEPTH + 1 is c_0 + 2 (c_1 + ... + c_DEPTH), the series clt reports;
+    # the gapped form has c_1 = 0 before its last non-zero lag
     w, model, prob, amp = world
-    obs = with_exact_mean_subtracted(linear_functional(COEFS), model, w)
-    rep = mixing.clt_experiment(model, w, obs, DEPTH + 1, 100, SamplerState(1))
-    f = [coords(model, amp, WIDTH - 1 - p) @ COEFS for p in range(DEPTH + 1)]
 
     def var(s):
         return prob @ (s - prob @ s) ** 2
 
-    brute = var(sum(f)) - var(sum(f[:DEPTH]))
-    assert rep.sigma2_series == pytest.approx(brute, rel=1e-12)
+    for coefs in (COEFS, np.array([1.0, 0.0, 0.5])):
+        obs = with_exact_mean_subtracted(linear_functional(coefs), model, w)
+        rep = mixing.clt_experiment(model, w, obs, DEPTH + 1, 100, SamplerState(1))
+        f = [coords(model, amp, WIDTH - 1 - p)[:, : len(coefs)] @ coefs for p in range(DEPTH + 1)]
+        brute = var(sum(f)) - var(sum(f[:DEPTH]))
+        assert rep.sigma2_series == pytest.approx(brute, rel=1e-12)

@@ -9,6 +9,7 @@ from reference import evaluate_window
 from shiftmix import mixing
 from shiftmix.fourier import linear_fourier_table
 from shiftmix.observables import (
+    evaluate_windows,
     linear_functional,
     monomial_sum,
     with_exact_mean_subtracted,
@@ -195,6 +196,22 @@ class TestClt:
                 lo = max(hi - model.depth, 0)
                 total += evaluate_window(obs, model, syms[lo : hi + 1])
             assert rep.samples[r] == total / math.sqrt(n)
+
+    def test_linear_sums_match_step_by_step_loop(self, model2, weights40):
+        obs = linear_functional([1.0, 0.0, 0.5, -2.0, 0.0, 0.3])  # signed, with gaps
+        obs = with_exact_mean_subtracted(obs, model2, weights40)
+        n, state = 64, SamplerState(4)
+        width = n + obs.support_depth
+        rep = mixing.clt_experiment(model2, weights40, obs, n, 100, state)
+        kern_rev = np.convolve(obs.coefs / model2.W[: len(obs.coefs)], np.ones(n))[::-1]
+        for r in range(100):
+            amp = model2.amplitudes(sample_symbol_matrix(weights40, 1, width, state.substream(r)))
+            dot = float(amp[0] @ kern_rev) - n * obs.mean_shift
+            assert rep.samples[r] == dot / math.sqrt(n)
+            total = 0.0
+            for p in range(n):
+                total += float(evaluate_windows(obs, model2, amp, [width - 1 - p])[0, 0])
+            assert rep.samples[r] == pytest.approx(total / math.sqrt(n), rel=1e-12)
 
     def test_zero_observable_degenerates(self, model2, weights40):
         obs = linear_functional([0.0])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.stats import chi2_contingency
 
 import shiftmix as sm
@@ -68,13 +69,29 @@ class TestSampler:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("start, stop", [(0, 5), (70, 73)])
-    def test_replica_rows_are_one_row_matrices(self, weights40, start, stop):
+    def test_replica_rows_are_one_row_matrices(self, model2, weights40, start, stop):
         # replica r reads substream r alone, wherever its block starts
         state = SamplerState(8, 2)
-        rows = sample_replicas(weights40, 33, state, start, stop)
-        assert rows.shape == (stop - start, 33) and rows.dtype == np.int64
-        for i, r in enumerate(range(start, stop)):
-            assert np.array_equal(rows[i], sample_symbol_matrix(weights40, 1, 33, state.substream(r))[0])
+        for cols in (33, 4353):
+            rows = sample_replicas(model2, weights40, cols, state, start, stop)
+            assert rows.shape == (stop - start, cols) and rows.dtype == np.float64
+            for i, r in enumerate(range(start, stop)):
+                want = model2.amplitudes(sample_symbol_matrix(weights40, 1, cols, state.substream(r)))[0]
+                assert np.array_equal(rows[i].view(np.uint64), want.view(np.uint64))
+
+    def test_empty_replica_range(self, model2, weights40):
+        rows = sample_replicas(model2, weights40, 33, SamplerState(8, 2), 70, 70)
+        assert rows.shape == (0, 33)
+
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (123, 45)])
+    def test_rekeyed_generator_restarts_the_stream(self, seed, stream):
+        # guards numpy's Philox state layout: a changed layout must fail here
+        gen = Generator(Philox(7))
+        gen.integers(0, 2**32, size=3, dtype=np.uint32)  # leaves a half-used word and buffer
+        for n in (1, 257, 4353):
+            SamplerState(seed, stream).rekey(gen.bit_generator)
+            want = SamplerState(seed, stream).rng().random(n)
+            assert np.array_equal(gen.random(n).view(np.uint64), want.view(np.uint64))
 
     def test_zero_seed_fast_path_matches_full_search(self, weights40):
         thr = _thresholds(weights40)

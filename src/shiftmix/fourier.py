@@ -84,9 +84,8 @@ def linear_fourier_table(
     amps = model.seed_values[: w.length]
     weighted = w.p * amps
     suffix = np.concatenate([np.cumsum(weighted[::-1])[::-1], [0.0]])
-    A = np.empty(basis.l_max)
-    for l in range(1, basis.l_max + 1):
-        A[l - 1] = w.p[l - 1] * basis.diag[l - 1] * amps[l - 1] + basis.off[l - 1] * suffix[l]
+    n = basis.l_max
+    A = w.p[:n] * basis.diag * amps[:n] + basis.off * suffix[1 : n + 1]
 
     depth_factors = coefs / model.W[: len(coefs)]
     return FourierTable(

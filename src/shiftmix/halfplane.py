@@ -94,9 +94,8 @@ def h2_norm(
         v = f(t)
         return v * v / (1.0 + t * t) / math.pi
 
-    inner = [p for p in pts if lo < p < hi]
     v1, e1 = quad(
-        integrand, lo, hi, points=inner, limit=800,
+        integrand, lo, hi, points=pts, limit=800,
         epsabs=config.tolerance / 4.0, epsrel=1e-12,
     )
     v2, e2 = quad(integrand, -np.inf, lo, limit=200, epsabs=config.tolerance / 4.0)

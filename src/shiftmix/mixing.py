@@ -60,11 +60,14 @@ class DecayReport:
     se: np.ndarray | None
     exact: np.ndarray | None
 
-    def usable_mask(self) -> np.ndarray:
-        """Lags whose value stands clear of its error bound (10x)."""
+    def usable(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lags whose value (exact if known, else sampled) stands clear of
+        its error bound (10x), and those values."""
         if self.exact is not None:
-            return np.abs(self.exact) > 0
-        return np.abs(self.mc) > 10.0 * self.se
+            keep = np.abs(self.exact) > 0
+            return self.lags[keep], self.exact[keep]
+        keep = np.abs(self.mc) > 10.0 * self.se
+        return self.lags[keep], self.mc[keep]
 
 
 def empirical_covariance(
@@ -172,21 +175,19 @@ def decay_exponent_fit(report: DecayReport) -> SlopeFit:
     fit; fewer than five usable lags is an error, and all-zero covariances
     raise "no signal".
     """
-    values = report.exact if report.exact is not None else report.mc
-    mask = report.usable_mask()
-    if not mask.any():
+    lags, values = report.usable()
+    if len(lags) == 0:
         raise ValueError("no signal: all covariances statistically zero")
-    if mask.sum() < 5:
-        raise ValueError(f"only {int(mask.sum())} usable lags; need at least 5")
-    return log_log_fit(report.lags[mask], np.abs(values[mask]))
+    if len(lags) < 5:
+        raise ValueError(f"only {len(lags)} usable lags; need at least 5")
+    return log_log_fit(lags, np.abs(values))
 
 
 def log_lag_ratio_band(report: DecayReport) -> tuple[float, float]:
     """Spread of cov * lag / log(lag + 1), the boundary-regime diagnostic."""
-    values = report.exact if report.exact is not None else report.mc
-    mask = report.usable_mask()
-    lags = report.lags[mask].astype(float)
-    ratio = values[mask] * lags / np.log(lags + 1.0)
+    lags, values = report.usable()
+    lags = lags.astype(float)
+    ratio = values * lags / np.log(lags + 1.0)
     return float(ratio.min()), float(ratio.max())
 
 
@@ -349,6 +350,8 @@ def conditional_norm_diagnostics(table: FourierTable, n_grid: np.ndarray) -> Mar
     to prefix-sum arithmetic on the depth factors.
     """
     n_grid = np.asarray(sorted(int(n) for n in n_grid))
+    if np.any(n_grid < 1):
+        raise ValueError("n-grid points must be at least 1")
     g = table.depth_factors  # position -m carries g[m]
     D = len(g) - 1
     amp = float(np.dot(table.level_factors, table.level_factors))
@@ -360,11 +363,10 @@ def conditional_norm_diagnostics(table: FourierTable, n_grid: np.ndarray) -> Mar
         # S(j, n) = sum_{p < n} of the mass at position j + p
         return P[np.clip(j_positions + D + n, 0, D + 1)] - P[np.clip(j_positions + D, 0, D + 1)]
 
-    known_sq = np.empty(len(n_grid))
+    # position 0, the only one >= 0 with mass, is alone in its window for every n
+    known_sq = np.full(len(n_grid), amp * float((P[D + 1] - P[D]) ** 2))
     resid_sq = np.empty(len(n_grid))
     for i, n in enumerate(n_grid):
-        j_known = np.arange(0, 1)  # positions >= 0 with any mass: only 0
-        known_sq[i] = amp * float(np.sum(window_sum(j_known, n) ** 2))
         j_resid = np.arange(-D - n, -n)  # positions strictly below -n
         resid_sq[i] = amp * float(np.sum(window_sum(j_resid, n) ** 2))
 

@@ -76,15 +76,11 @@ class GrowthChain:
         Negative means the inequality holds strictly everywhere.  The check
         is exhaustive, not sampled.
         """
-        log_in = np.log(self.inner)
-        log_mid = np.log(self.middle)
-        worst = -math.inf
-        for k in range(1, self.k_max):
-            for kp in range(1, self.k_max - k + 1):
-                lhs = (k + kp) * log_in[k + kp - 1]
-                rhs = k * log_mid[k - 1] + kp * log_mid[kp - 1]
-                worst = max(worst, lhs - rhs)
-        return worst
+        k = np.arange(1, self.k_max)
+        s = k[:, None] + k  # k + k'
+        k_mid = k * np.log(self.middle[:-1])
+        lhs = s * np.take(np.log(self.inner), s - 1, mode="clip")
+        return float(np.max(lhs - (k_mid[:, None] + k_mid), where=s <= self.k_max, initial=-np.inf))
 
 
 def build_growth_chain(outer: str | Callable[[int], float], k_max: int = 128) -> GrowthChain:
@@ -130,11 +126,9 @@ def build_growth_chain(outer: str | Callable[[int], float], k_max: int = 128) ->
     inner = np.array([math.sqrt(middle[(k + 1) // 2 - 1]) for k in range(1, k_max + 1)])
 
     ratio = middle**2 / vals
-    monotone_from = k_max - 1
-    for i in range(k_max - 1):
-        if np.all(np.diff(ratio[i:]) <= 1e-15):
-            monotone_from = i
-            break
+    # past the last rise of the ratio it is monotone
+    rises = np.flatnonzero(np.diff(ratio) > 1e-15)
+    monotone_from = int(rises[-1]) + 1 if len(rises) else 0
     if not ratio[-1] < ratio[monotone_from]:
         raise ValueError("middle^2/outer does not decay over the tabulated range")
 
@@ -264,14 +258,12 @@ def _moment_fit(
     ``logs`` holds log x_m; everything is evaluated in log space so that
     weights spanning hundreds of orders of magnitude stay comparable.
     """
-    per_k = np.empty(k_max)
-    for k in range(1, k_max + 1):
-        term = logs + k * log_in[:length]
-        # suffix logsumexp, smallest terms first
-        suffix = np.logaddexp.accumulate(term[::-1])[::-1]
-        k_pow = k * log_in[k - 1]
-        denom = logs + np.maximum(k_pow, k * log_in[:length])
-        per_k[k - 1] = np.max(suffix - denom)
+    k = np.arange(1, k_max + 1)[:, None]
+    scaled = k * log_in[:length]  # row k-1: k log inner(m)
+    # suffix logsumexp of each row, smallest terms first
+    suffix = np.logaddexp.accumulate((logs + scaled)[:, ::-1], axis=1)[:, ::-1]
+    denom = logs + np.maximum(k * log_in[:k_max, None], scaled)
+    per_k = np.max(suffix - denom, axis=1)
     return ConditionFit(
         name=name,
         constant=float(math.exp(np.max(per_k))),
@@ -309,11 +301,9 @@ def check_weight_conditions(
         constant=float(ratios.max()),
     )
 
-    amp = max(
-        2.0 * d * log_in[l - 1] + 0.5 * w.log_p[l - 1]
-        for d in range(1, w.d_max + 1)
-        for l in range(2 * d, L + 1)
-    )
+    d = np.arange(1, w.d_max + 1)[:, None]
+    caps = 2.0 * d * log_in[:L] + 0.5 * w.log_p  # row d-1, column l-1; l >= 2d counts
+    amp = np.max(caps, where=np.arange(1, L + 1) >= 2 * d, initial=-np.inf)
     amp_fit = ConditionFit(
         name="amplitude_caps",
         constant=float(math.exp(amp)),

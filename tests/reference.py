@@ -1,10 +1,15 @@
-"""The reference meaning of an observable: one realized vector at a time.
+"""Reference loops: an observable one realized vector at a time, and the
+weight-stack checks one term at a time.
 
 ``observables.evaluate_windows`` evaluates whole matrices of window
 amplitudes at once; the tests hold it to :func:`evaluate` on the vector that
 ``sampling.window_vector`` realizes from each window, and its linear sums to
-:func:`linear_sum`, one term at a time.
+:func:`linear_sum`, one term at a time.  The weight-stack checks in
+``weights`` are held the same way to :func:`pairing_margin` and
+:func:`moment_fit_per_k`, one pair or one k at a time.
 """
+
+import math
 
 import numpy as np
 
@@ -55,3 +60,29 @@ def linear_sum(obs: Observable, model: ShiftModel, amp: np.ndarray, ends) -> np.
                 total += float(amp[r, c]) * (float(obs.coefs[m]) / float(model.W[m]))
             out[r, j] = total - obs.mean_shift
     return out
+
+
+def pairing_margin(chain) -> float:
+    """``GrowthChain.pairing_margin`` one pair (k, k') at a time."""
+    log_in = np.log(chain.inner)
+    log_mid = np.log(chain.middle)
+    worst = -math.inf
+    for k in range(1, chain.k_max):
+        for kp in range(1, chain.k_max - k + 1):
+            lhs = (k + kp) * log_in[k + kp - 1]
+            rhs = k * log_mid[k - 1] + kp * log_mid[kp - 1]
+            worst = max(worst, lhs - rhs)
+    return worst
+
+
+def moment_fit_per_k(logs: np.ndarray, log_in: np.ndarray, length: int, k_max: int) -> np.ndarray:
+    """The log of ``weights._moment_fit``'s ``per_k``, one k at a time."""
+    per_k = np.empty(k_max)
+    for k in range(1, k_max + 1):
+        term = logs + k * log_in[:length]
+        # suffix logsumexp, smallest terms first
+        suffix = np.logaddexp.accumulate(term[::-1])[::-1]
+        k_pow = k * log_in[k - 1]
+        denom = logs + np.maximum(k_pow, k * log_in[:length])
+        per_k[k - 1] = np.max(suffix - denom)
+    return per_k

@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from shiftmix import weights as wt
+
+# the outer scales the tests below build chains from, rejected ones included
+OUTERS = {
+    **wt.GROWTH_FUNCTIONS,
+    "constant": lambda k: 2.0,
+    "dips-below-one": lambda k: 1.0 + 0.001 * k if k > 3 else 0.5,
+    "nan-at-40": lambda k: math.nan if k == 40 else 1.0 + k,
+    "cubic": lambda k: 1.0 + k**3,
+    "late-jump": lambda k: 1.5 if k < 10 else 1e12 * k,
+}
 
 
 class TestGrowthChain:
@@ -211,3 +222,60 @@ class TestBlockSchedule:
     def test_zero_levels_rejected(self, weights40, chain):
         with pytest.raises(ValueError, match="at least one level"):
             wt.build_block_schedule(2.0, weights40, chain, levels=0)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _outcome(outer, k_max):
+    """The built chain's arrays, or the message it was rejected with."""
+    try:
+        c = wt.build_growth_chain(outer, k_max)
+    except ValueError as exc:
+        return str(exc)
+    return _bits(c.middle).tolist(), _bits(c.inner).tolist()
+
+
+class TestArrayChecksMatchLoops:
+    """The array expressions of the weight-stack checks give the bits of the
+    loops in ``tests/reference.py``."""
+
+    @pytest.mark.parametrize("k_max", [4, 5, 64, 128])
+    @pytest.mark.parametrize("name", sorted(OUTERS))
+    def test_pairing_margin_matches_pair_loop(self, name, k_max, monkeypatch):
+        built = _outcome(OUTERS[name], k_max)
+        if not isinstance(built, str):
+            c = wt.build_growth_chain(OUTERS[name], k_max)
+            assert _bits(c.pairing_margin()) == _bits(reference.pairing_margin(c))
+        monkeypatch.setattr(wt.GrowthChain, "pairing_margin", reference.pairing_margin)
+        assert _outcome(OUTERS[name], k_max) == built
+
+    @pytest.mark.parametrize("k_max", [1, 2, 4, 5, 64, 128])
+    def test_pairing_margin_matches_on_arbitrary_scales(self, k_max):
+        # scales no outer would build, most of them violating the inequality
+        rng = np.random.default_rng(k_max)
+        for _ in range(20):
+            middle, inner = rng.uniform(1.0, 50.0, (2, k_max)) ** rng.uniform(0.1, 3.0)
+            c = wt.GrowthChain(k_max=k_max, middle=middle, inner=inner)
+            assert _bits(c.pairing_margin()) == _bits(reference.pairing_margin(c))
+
+    @pytest.mark.parametrize("k_max", [4, 5, 64, 128])
+    @pytest.mark.parametrize("name", sorted(wt.GROWTH_FUNCTIONS))
+    def test_moment_fit_matches_per_k_loop(self, name, k_max):
+        chain = wt.build_growth_chain(name, 128)
+        log_in = np.log(chain.inner)
+        for L in (6, 40):
+            w = wt.build_symbol_weights(chain, d_max=3, length=L)
+            for logs in (w.log_p, 0.5 * w.log_p):
+                fit = wt._moment_fit("fit", logs, log_in, L, k_max)
+                per_k = reference.moment_fit_per_k(logs, log_in, L, k_max)
+                assert np.array_equal(_bits(fit.per_k), _bits(np.exp(per_k)))
+                assert _bits(fit.constant) == _bits(math.exp(np.max(per_k)))
+
+    def test_moment_fit_matches_on_a_chain_no_outer_builds(self):
+        L, K = 30, 40
+        logs = np.log(2.0) * -np.arange(1, L + 1)
+        log_in = np.log(1.0 + np.arange(1, K + 1, dtype=float))
+        fit = wt._moment_fit("fit", logs, log_in, L, 30)
+        assert np.array_equal(_bits(fit.per_k), _bits(np.exp(reference.moment_fit_per_k(logs, log_in, L, 30))))

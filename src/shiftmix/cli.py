@@ -393,9 +393,10 @@ def _run_support_probe(params):
         results[name] = {
             "empirical": rep.empirical,
             "analytic": rep.analytic_lower_bound,
+            "analytic_log10": rep.log_lower_bound / math.log(10.0),
             "hits": rep.hits,
         }
-        passed = passed and rep.empirical > 0 and rep.analytic_lower_bound > 0
+        passed = passed and rep.empirical > 0 and math.isfinite(rep.log_lower_bound)
     return results, columns, passed, None
 
 

@@ -3,10 +3,10 @@
 Seed functions are modeled directly by their boundary decay profile
 ``theta / (1 + x^2)^p``; translating by k moves the profile hump to -k.
 The Hardy norm is a weighted boundary integral, evaluated by adaptive
-quadrature on a finite window containing both humps plus analytic bounds
-for the tails.  Verified here: the norm of a k-translate decays like a
-power of k, and norms of long translate sums stay below the k^{-3/2}
-summability envelope with a stable constant.
+quadrature on a finite window containing both humps plus infinite-range
+quadrature for the two tails.  Verified here: the norm of a k-translate
+decays like a power of k, and norms of long translate sums stay below the
+k^{-3/2} summability envelope with a stable constant.
 """
 
 from __future__ import annotations
@@ -78,15 +78,21 @@ def h2_norm(
 ) -> QuadratureResult:
     """Hardy norm: square root of ``pi^-1 int |f|^2 dt / (1 + t^2)``.
 
-    Decayed profiles bring their peak as a breakpoint automatically; pass
-    explicit breakpoints for other integrands with narrow features.  The
-    window spans every breakpoint plus a fixed pad; outside it the
-    integrand is handled by dedicated infinite-range quadrature.  Raises if
-    the combined error estimate cannot meet the tolerance.
+    Decayed profiles bring their peak, and points at dyadic distances from
+    it, as breakpoints automatically; pass explicit breakpoints for other
+    integrands with narrow features.  The window spans every breakpoint
+    plus a fixed pad; outside it the integrand is handled by dedicated
+    infinite-range quadrature.  Raises if the combined error estimate
+    cannot meet the tolerance.
     """
     from scipy.integrate import quad  # imported here so that start-up skips scipy
 
-    pts = sorted(set(breakpoints) | ({f.peak} if isinstance(f, DecayedFunction) else set()) | {0.0})
+    pts = set(breakpoints) | {0.0}
+    if isinstance(f, DecayedFunction):
+        # without these, quad's bisection can step over half of a far hump
+        top = math.ceil(math.log2(abs(f.peak) + 1.0))
+        pts |= {f.peak} | {f.peak + s * 2.0**j for j in range(-4, top + 1) for s in (-1.0, 1.0)}
+    pts = sorted(pts)
     lo = min(pts) - _WINDOW_PAD
     hi = max(pts) + _WINDOW_PAD
 

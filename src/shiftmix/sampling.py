@@ -214,7 +214,8 @@ def conjugacy_residual(model: ShiftModel, win: SymbolWindow) -> float:
 class SupportProbeReport:
     empirical: float
     hits: int
-    analytic_lower_bound: float
+    analytic_lower_bound: float  # 0.0 once its log is below the double range
+    log_lower_bound: float
 
 
 def support_probe(
@@ -272,7 +273,6 @@ def support_probe(
             raise ValueError("target needs a symbol beyond the weight truncation")
         log_bound += float(w.log_p[sym - 1])
     log_bound += schedule.log_beta_sq_tail(level, w)
-    analytic = math.exp(log_bound)
 
     depth = model.depth
     b = np.zeros(depth + 1)
@@ -288,5 +288,6 @@ def support_probe(
     return SupportProbeReport(
         empirical=hits_n / samples,
         hits=hits_n,
-        analytic_lower_bound=analytic,
+        analytic_lower_bound=math.exp(log_bound),
+        log_lower_bound=log_bound,
     )

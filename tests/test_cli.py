@@ -352,6 +352,16 @@ def test_weights_check_names_the_alpha_it_reads(tmp_path, capsys):
     assert "orbit-norm envelope N^(-0.3) is not summable" in capsys.readouterr().err
 
 
+def test_support_probe_judges_the_log_of_a_bound_below_the_double_range(tmp_path):
+    # at alpha 1.35 the block schedule is so wide that the bound itself reads 0.0
+    assert run(["support-probe", "--alpha", 1.35, "--R", 200, "--out", tmp_path / "o"]) == 0
+    results = json.loads((tmp_path / "o" / "report.json").read_text())["results"]
+    for target in ("zero", "seed2", "seed2-depth1"):
+        assert results[target]["analytic"] == 0.0
+        assert results[target]["hits"] > 0
+        assert -1000.0 < results[target]["analytic_log10"] < -900.0
+
+
 @pytest.mark.parametrize("exc", [TypeError("unsupported operand"), KeyError("lags")])
 def test_crash_in_a_runner_exits_two(exc, monkeypatch, tmp_path, capsys):
     # exit 1 means a failed tolerance, so a defect must not end with it

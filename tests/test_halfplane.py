@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +30,19 @@ class TestHardyNorm:
         loose = hp.h2_norm(f, hp.QuadratureConfig(tolerance=1e-8))
         tight = hp.h2_norm(f, hp.QuadratureConfig(tolerance=5e-9))
         assert abs(loose.value - tight.value) <= max(loose.error, 1e-15)
+
+    @pytest.mark.parametrize("p, k", [(4, 2048), (40, 1024)])
+    def test_far_translate_matches_mpmath(self, p, k):
+        # the hump at -k is narrow against its distance from 0; once an
+        # adaptive split stepped over half of it
+        def integrand(t):
+            return 1 / (1 + (t + k) ** 2) ** (2 * p) / (1 + t**2) / mpmath.pi
+
+        pts = [-k - 64, -k - 8, -k - 1, -k, -k + 1, -k + 8, -k + 64, -k / 2, -1, 0, 1]
+        with mpmath.workdps(25):
+            want = float(mpmath.sqrt(mpmath.quad(integrand, [-mpmath.inf, *pts, mpmath.inf])))
+        got = hp.h2_norm(hp.translate(hp.DecayedFunction(decay_power=p), k))
+        assert got.value == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_unmeetable_tolerance_raises_with_estimate(self):
         with pytest.raises(ArithmeticError, match="estimate"):

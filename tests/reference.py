@@ -5,8 +5,8 @@ weight-stack checks one term at a time.
 amplitudes at once; the tests hold it to :func:`evaluate` on the vector that
 ``sampling.window_vector`` realizes from each window, and its linear sums to
 :func:`linear_sum`, one term at a time.  The weight-stack checks in
-``weights`` are held the same way to :func:`pairing_margin` and
-:func:`moment_fit_per_k`, one pair or one k at a time.
+``weights`` are held the same way to :func:`pairing_margin`,
+:func:`moment_fit_per_k` and :func:`amplitude_cap_log`.
 """
 
 import math
@@ -86,3 +86,12 @@ def moment_fit_per_k(logs: np.ndarray, log_in: np.ndarray, length: int, k_max: i
         denom = logs + np.maximum(k_pow, k * log_in[:length])
         per_k[k - 1] = np.max(suffix - denom)
     return per_k
+
+
+def amplitude_cap_log(w, log_in: np.ndarray) -> float:
+    """The log of the amplitude-cap constant of ``weights.check_weight_conditions``."""
+    return max(
+        2.0 * d * log_in[l - 1] + 0.5 * w.log_p[l - 1]
+        for d in range(1, w.d_max + 1)
+        for l in range(2 * d, w.length + 1)
+    )

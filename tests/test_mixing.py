@@ -268,6 +268,11 @@ class TestConditionalNorms:
         assert d.known_sq[0] == pytest.approx(amp * g[0] ** 2, rel=1e-14)
         assert d.residual_sq[0] == pytest.approx(amp * g[2] ** 2, rel=1e-14)
 
+    def test_grid_below_one_rejected(self, model2, basis40):
+        table = linear_fourier_table(model2, basis40, [1.0, 0.5])
+        with pytest.raises(ValueError, match="at least 1"):
+            mixing.conditional_norm_diagnostics(table, np.array([0, 4]))
+
     def test_window_functional_envelope_and_cauchy(self, chain, weights40, basis40):
         model = canonical_shift(2.0, depth=4096, chain=chain)
         table = linear_fourier_table(model, basis40, np.ones(4097))

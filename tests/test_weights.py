@@ -229,12 +229,11 @@ def _bits(x) -> np.ndarray:
 
 
 def _outcome(outer, k_max):
-    """The built chain's arrays, or the message it was rejected with."""
+    """The built chain's pairing margin, or the message it was rejected with."""
     try:
-        c = wt.build_growth_chain(outer, k_max)
+        return int(_bits(wt.build_growth_chain(outer, k_max).pairing_margin()))
     except ValueError as exc:
         return str(exc)
-    return _bits(c.middle).tolist(), _bits(c.inner).tolist()
 
 
 class TestArrayChecksMatchLoops:
@@ -245,9 +244,6 @@ class TestArrayChecksMatchLoops:
     @pytest.mark.parametrize("name", sorted(OUTERS))
     def test_pairing_margin_matches_pair_loop(self, name, k_max, monkeypatch):
         built = _outcome(OUTERS[name], k_max)
-        if not isinstance(built, str):
-            c = wt.build_growth_chain(OUTERS[name], k_max)
-            assert _bits(c.pairing_margin()) == _bits(reference.pairing_margin(c))
         monkeypatch.setattr(wt.GrowthChain, "pairing_margin", reference.pairing_margin)
         assert _outcome(OUTERS[name], k_max) == built
 
@@ -279,3 +275,12 @@ class TestArrayChecksMatchLoops:
         log_in = np.log(1.0 + np.arange(1, K + 1, dtype=float))
         fit = wt._moment_fit("fit", logs, log_in, L, 30)
         assert np.array_equal(_bits(fit.per_k), _bits(np.exp(reference.moment_fit_per_k(logs, log_in, L, 30))))
+
+    @pytest.mark.parametrize("name", sorted(wt.GROWTH_FUNCTIONS))
+    def test_amplitude_cap_matches_generator(self, name):
+        chain = wt.build_growth_chain(name, 128)
+        for d_max, L in ((1, 2), (1, 40), (3, 6), (3, 40)):
+            w = wt.build_symbol_weights(chain, d_max=d_max, length=L)
+            sched = wt.build_block_schedule(3.0, w, chain, levels=L)
+            got = wt.check_weight_conditions(w, chain, k_max=4, schedule=sched).amplitude_caps.constant
+            assert _bits(got) == _bits(math.exp(reference.amplitude_cap_log(w, np.log(chain.inner))))

@@ -107,8 +107,12 @@ def empirical_covariance(
         for s in range(0, stop - start, sub):
             amp = amps[s : s + sub]
             rows = slice(start + s, start + s + len(amp))
-            g_all[rows] = evaluate_windows(obs_g, model, amp, [idx0])[:, 0]
-            f_all[:, rows] = evaluate_windows(obs_f, model, amp, idx0 - lags).T
+            if obs_f is obs_g:  # one non-zero scan; each column is summed alone
+                vals = evaluate_windows(obs_f, model, amp, [idx0, *(idx0 - lags)])
+                g_all[rows], f_all[:, rows] = vals[:, 0], vals[:, 1:].T
+            else:
+                g_all[rows] = evaluate_windows(obs_g, model, amp, [idx0])[:, 0]
+                f_all[:, rows] = evaluate_windows(obs_f, model, amp, idx0 - lags).T
 
     _run_blocks(n_samples, chunk, block, workers)
 
@@ -140,7 +144,7 @@ def exact_decay_curve(
     basis = build_basis(w)
     lags = np.asarray(sorted(int(x) for x in lags))
     tf = linear_fourier_table(model, basis, obs_f.coefs)
-    tg = linear_fourier_table(model, basis, obs_g.coefs)
+    tg = tf if obs_g is obs_f else linear_fourier_table(model, basis, obs_g.coefs)
     exact = np.array([exact_covariance(tf, tg, int(p)) for p in lags])
     return DecayReport(lags=lags, mc=None, se=None, exact=exact)
 
@@ -406,17 +410,19 @@ class FactConstants:
         return int(np.argmax(self.c_stated)) < len(self.n_grid) - 1
 
 
-def _window_power_lhs(alpha: float, n: int) -> float:
-    """sum_{j >= 0} (sum_{p < n} (1 + j + p)^-alpha)^2 by direct summation."""
-    j_max = max(200_000, 400 * n)
-    i = np.arange(1, j_max + n + 2, dtype=float)
+def _window_power_lhs(alpha: float, n_grid: np.ndarray) -> np.ndarray:
+    """sum_{j >= 0} (sum_{p < n} (1 + j + p)^-alpha)^2 by direct summation, for
+    each n of the grid, from one prefix sum sized for the largest n."""
+    j_max = np.maximum(200_000, 400 * n_grid)
+    i = np.arange(1, int(np.max(j_max + n_grid)) + 2, dtype=float)
+    # a prefix of a longer cumsum has the bits of the shorter one
     c = np.concatenate([[0.0], np.cumsum(i**-alpha)])
-    j = np.arange(0, j_max + 1)
-    inner = c[j + n] - c[j]
-    total = float(np.sum(inner**2))
-    # integral tail of the dropped indices
-    total += n**2 * (j_max + 1.5) ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0)
-    return total
+    # each sum of squares, then the integral tail of the dropped indices
+    return np.array([
+        float(np.sum((c[n : n + jm + 1] - c[: jm + 1]) ** 2))
+        + n**2 * (jm + 1.5) ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0)
+        for n, jm in zip(n_grid.tolist(), j_max.tolist())
+    ])
 
 
 def regime_envelope(alpha: float, n: np.ndarray) -> np.ndarray:
@@ -433,14 +439,17 @@ def window_tail_constants(alpha: float, n_grid) -> FactConstants:
     ``c_stated`` divides by ``max(n^{3-2a}, log(n+1))``; ``c_regime``
     divides by the sharp regime of the same estimate (the left side
     saturates to a constant once a > 3/2, so the logarithmic envelope is
-    loose there and its fitted constant decays).
+    loose there and its fitted constant decays).  The power sums of the
+    whole grid come from one prefix sum, built once for its largest n.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     if alpha <= 1.0:
         raise ValueError("needs a decay exponent above 1")
     n_grid = np.asarray(sorted(int(n) for n in n_grid))
-    lhs = np.array([_window_power_lhs(alpha, int(n)) for n in n_grid])
+    if len(n_grid) == 0 or n_grid[0] < 1:
+        raise ValueError("needs a non-empty n-grid of points at least 1")
+    lhs = _window_power_lhs(alpha, n_grid)
     stated = np.maximum(n_grid.astype(float) ** (3.0 - 2.0 * alpha), np.log(n_grid + 1.0))
     return FactConstants(
         n_grid=n_grid,

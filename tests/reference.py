@@ -1,12 +1,13 @@
-"""Reference loops: an observable one realized vector at a time, and the
-weight-stack checks one term at a time.
+"""Reference loops: an observable one realized vector at a time, the
+weight-stack checks one term at a time, and power sums one n at a time.
 
 ``observables.evaluate_windows`` evaluates whole matrices of window
 amplitudes at once; the tests hold it to :func:`evaluate` on the vector that
 ``sampling.window_vector`` realizes from each window, and its linear sums to
 :func:`linear_sum`, one term at a time.  The weight-stack checks in
 ``weights`` are held the same way to :func:`pairing_margin`,
-:func:`moment_fit_per_k` and :func:`amplitude_cap_log`.
+:func:`moment_fit_per_k` and :func:`amplitude_cap_log`, and the power sums of
+``mixing.window_tail_constants`` to :func:`window_power_lhs`, one n at a time.
 """
 
 import math
@@ -95,3 +96,17 @@ def amplitude_cap_log(w, log_in: np.ndarray) -> float:
         for d in range(1, w.d_max + 1)
         for l in range(2 * d, w.length + 1)
     )
+
+
+def window_power_lhs(alpha: float, n: int) -> float:
+    """sum_{j >= 0} (sum_{p < n} (1 + j + p)^-alpha)^2 from a prefix sum built
+    for this n alone, its windows gathered through index arrays."""
+    j_max = max(200_000, 400 * n)
+    i = np.arange(1, j_max + n + 2, dtype=float)
+    c = np.concatenate([[0.0], np.cumsum(i**-alpha)])
+    j = np.arange(0, j_max + 1)
+    inner = c[j + n] - c[j]
+    total = float(np.sum(inner**2))
+    # integral tail of the dropped indices
+    total += n**2 * (j_max + 1.5) ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0)
+    return total

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from reference import evaluate_window
+from reference import evaluate_window, window_power_lhs
 from shiftmix import mixing
 from shiftmix.fourier import linear_fourier_table
 from shiftmix.observables import (
@@ -95,6 +95,24 @@ class TestEmpiricalCovariance:
                 n_samples=10, depth=100, state=SamplerState(1),
             )
 
+    @pytest.mark.parametrize(
+        "obs",
+        [linear_functional([1.0, 0.0, 0.5, -2.0]), monomial_sum([(1.0, (0, 1)), (0.5, (3, 3))])],
+        ids=["linear", "monomials"],
+    )
+    def test_one_observable_object_gives_the_bytes_of_two(self, model2, weights40, obs):
+        # the same object takes one evaluation per sub-block, an equal copy two
+        kw = dict(lags=np.array([1, 2, 3, 5, 8, 13, 16]), n_samples=2500, depth=20)
+        one = mixing.empirical_covariance(model2, weights40, obs, obs, state=SamplerState(4), **kw)
+        two = mixing.empirical_covariance(
+            model2, weights40, obs, dataclasses.replace(obs), state=SamplerState(4), **kw
+        )
+        assert one.mc.tobytes() == two.mc.tobytes()
+        assert one.se.tobytes() == two.se.tobytes()
+        assert (one.exact is None) == (obs.kind != "linear")
+        if one.exact is not None:
+            assert one.exact.tobytes() == two.exact.tobytes()
+
     def test_worker_count_does_not_change_results(self, model2, weights40):
         obs = linear_functional(np.ones(65))
         kw = dict(lags=np.array([1, 2]), n_samples=9000, depth=64)
@@ -156,6 +174,14 @@ class TestDecayRegimes:
         )
         fit = mixing.decay_exponent_fit(dataclasses.replace(rep, exact=None))
         assert abs(fit.slope - (1.0 - 2.0 * 0.75)) <= 0.2
+
+    def test_one_observable_object_shares_one_table(self, chain, weights40):
+        model = canonical_shift(1.5, depth=4096, chain=chain)
+        obs = linear_functional(np.ones(4097))
+        lags = self.lag_grid()
+        one = mixing.exact_decay_curve(model, weights40, obs, obs, lags)
+        two = mixing.exact_decay_curve(model, weights40, obs, dataclasses.replace(obs), lags)
+        assert one.exact.tobytes() == two.exact.tobytes()
 
     def test_all_zero_covariances_error(self, model2, weights40):
         obs = linear_functional([1.0])
@@ -305,6 +331,37 @@ class TestWindowPowerSums:
     def test_regime_envelope_stable_above_three_halves(self):
         fc = mixing.window_tail_constants(2.0, [4, 16, 64, 256, 1024, 4096])
         assert fc.regime_spread() < 2.0
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 2.0, 3.0])
+    def test_sums_match_one_n_at_a_time_bit_for_bit(self, alpha):
+        # unsorted, a repeated point, n = 1, and j_max = max(200_000, 400 n)
+        # on both sides of its switch at n = 500
+        grid = [501, 3, 1, 500, 499, 3]
+        fc = mixing.window_tail_constants(alpha, grid)
+        ref = {n: window_power_lhs(alpha, n) for n in set(grid)}
+        assert fc.lhs.tobytes() == np.array([ref[n] for n in sorted(grid)]).tobytes()
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is double here"
+    )
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.2])
+    def test_sums_agree_with_a_longdouble_resum(self, alpha):
+        grid = [1, 4, 512]
+        fc = mixing.window_tail_constants(alpha, grid)
+        a = np.longdouble(alpha)
+        j_max = [max(200_000, 400 * n) for n in grid]
+        i = np.arange(1, j_max[-1] + grid[-1] + 2, dtype=np.longdouble)
+        # exp-log is 3x faster than a longdouble power, and off by about 1e-18
+        c = np.concatenate([np.zeros(1, dtype=np.longdouble), np.cumsum(np.exp(-a * np.log(i)))])
+        for n, jm, got in zip(grid, j_max, fc.lhs):
+            want = np.sum((c[n : n + jm + 1] - c[: jm + 1]) ** 2)
+            want += n**2 * (jm + np.longdouble(1.5)) ** (1 - 2 * a) / (2 * a - 1)
+            assert abs(np.longdouble(got) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("grid", [[], [0, 4], [-3]])
+    def test_grid_below_one_rejected(self, grid):
+        with pytest.raises(ValueError, match="n-grid"):
+            mixing.window_tail_constants(2.0, grid)
 
     def test_factored_square_bound_small_instances(self):
         for n in (1, 3, 8):
